@@ -10,7 +10,8 @@
 //
 // A second sweep holds the population fixed and scales the machine instead:
 // threads 1..32 through the sharded pipeline, plus a static-partition
-// (shard.enable=0) reference at 8/16/32 threads.  Results land in
+// reference (count-priced, one shard per lane) at 8/16/32 threads.
+// Results land in
 // BENCH_scaling.json — per-phase speedup, measured lane imbalance and the
 // shard gauges per point — which bench/check_bench.py --scaling gates
 // against the committed baseline's parallel efficiency.  The JSON records
@@ -173,8 +174,14 @@ int main() {
   // --- Thread-scaling sweep: fixed population, machine grows ---
   const unsigned hw = std::thread::hardware_concurrency();
   const auto cfg = bench::paper_wedge_config(scale, 0.0);
+  // The static reference is a cost-model setting: cells priced by count
+  // alone, one shard per lane, re-cut every step.
   auto cfg_static = cfg;
-  cfg_static.shard_enable = false;
+  cfg_static.shard_collide_weight = 0.0;
+  cfg_static.shard_adapt = false;
+  cfg_static.shard_per_lane = 1;
+  cfg_static.shard_rebalance_threshold = 1.0;
+  cfg_static.shard_rebalance_interval = 1;
 
   std::printf("\nThread scaling: fixed population, sharded pipeline "
               "(%u hardware threads)\n", hw);
@@ -220,9 +227,11 @@ int main() {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"notes\": \"speedup/efficiency are vs the 1-thread "
                   "sharded point; static_points rerun the same problem with "
-                  "shard.enable=0 (the pre-sharding lower-bound particle "
-                  "split); points past hardware_threads are oversubscribed "
-                  "and informational only\"\n");
+                  "the pre-sharding particle split as a cost-model setting "
+                  "(shard.collide_weight=0 shard.adapt=0 shard.per_lane=1 "
+                  "shard.threshold=1 shard.interval=1); points past "
+                  "hardware_threads are oversubscribed and informational "
+                  "only\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_scaling.json\n");

@@ -1,5 +1,5 @@
-// Cell-block domain sharding: the dynamic-load-balance counterpart of the
-// static lane_range partition in parallel.h.
+// Cell-block domain sharding: how the per-cell phases (collide, sample) split
+// the pairing cells across lanes.
 //
 // The domain is cut into contiguous runs of pairing cells in sort-key order
 // ("shards"), so after the counting sort each shard is a contiguous run of
@@ -65,17 +65,23 @@ ShardPlan build_shard_plan(const std::vector<double>& cost, unsigned nshards,
 // predicted max/mean lane-cost imbalance (the repartition trigger input).
 double shard_plan_imbalance(ShardPlan& plan, const std::vector<double>& cost);
 
-// Shard-aware parallel-for: every lane walks its assigned shards, invoking
-// fn(cell_begin, cell_end, tid) once per shard.  The caller guarantees
-// plan.active() and plan.lanes == pool.size().
+// The cell-block dispatch: every lane walks its assigned shards, invoking
+// fn(cell_begin, cell_end) once per non-empty shard.  A plan that cannot
+// execute on this pool (inactive — one lane — or built for another lane
+// count) runs fn(0, ncells) once on the calling thread instead.
 template <class Fn>
-void parallel_shards(ThreadPool& pool, const ShardPlan& plan, Fn&& fn) {
+void parallel_shards(ThreadPool& pool, const ShardPlan& plan,
+                     std::uint32_t ncells, Fn&& fn) {
+  if (!plan.active() || plan.lanes != pool.size()) {
+    fn(std::uint32_t{0}, ncells);
+    return;
+  }
   pool.parallel([&](unsigned tid) {
     for (std::uint32_t k = plan.lane_begin[tid]; k < plan.lane_begin[tid + 1];
          ++k) {
       const std::uint32_t s = plan.order[k];
       if (plan.bounds[s] < plan.bounds[s + 1])
-        fn(plan.bounds[s], plan.bounds[s + 1], tid);
+        fn(plan.bounds[s], plan.bounds[s + 1]);
     }
   });
 }

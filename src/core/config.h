@@ -107,18 +107,19 @@ struct SimConfig {
   bool reservoir_collisions = true;
 
   // --- Cell-block domain sharding (dynamic load balancing) ---
-  // When on (and the pool has more than one lane), selection+collision and
-  // field sampling parallelize over contiguous cell-block shards assigned to
-  // lanes by a greedy cost partitioner (cmdp/shard.h) instead of the static
-  // equal-index split; the per-cell cost is count + collide_weight * pairs,
-  // with collide_weight adapted from the phase timers when shard_adapt is
-  // set.  Repartitioning happens when the predicted max/mean cost imbalance
-  // of the current assignment exceeds shard_rebalance_threshold and at least
-  // shard_rebalance_interval steps have passed since the last repartition.
-  // Physics is bit-identical to the static split either way; sharding also
-  // makes the sampled-field accumulation order (and thus its hashes)
-  // independent of the lane count.
-  bool shard_enable = true;
+  // With more than one lane, selection+collision and field sampling
+  // parallelize over contiguous cell-block shards assigned to lanes by a
+  // greedy cost partitioner (cmdp/shard.h); the per-cell cost is count +
+  // collide_weight * pairs, with collide_weight adapted from the phase
+  // timers when shard_adapt is set.  Repartitioning happens when the
+  // predicted max/mean cost imbalance of the current assignment exceeds
+  // shard_rebalance_threshold and at least shard_rebalance_interval steps
+  // have passed since the last repartition.  The knobs move only shard
+  // boundaries, never physics: state and sampled fields are bit-identical
+  // for every setting and lane count.  The pre-sharding particle-balanced
+  // split is one such setting: collide_weight 0 without adaptation (cells
+  // priced by count alone), one shard per lane, threshold 1 and interval 1
+  // (re-cut every step).
   int shard_per_lane = 4;                   // shards = lanes * this
   double shard_rebalance_threshold = 1.10;  // predicted max/mean trigger
   int shard_rebalance_interval = 8;         // min steps between repartitions

@@ -7,12 +7,12 @@
 // volume ... in computing the time average cell density".
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
-#include "cmdp/parallel.h"
 #include "cmdp/shard.h"
 #include "cmdp/thread_pool.h"
 #include "core/particles.h"
@@ -39,8 +39,7 @@ struct FieldStats {
   }
 };
 
-// Running per-cell moment sums.  Accumulation is lane-parallel into private
-// buffers that are reduced per cell.
+// Running per-cell moment sums, accumulated cell block by cell block.
 template <class Real>
 class FieldSampler {
  public:
@@ -63,87 +62,22 @@ class FieldSampler {
     std::fill(sums_.begin(), sums_.end(), 0.0);
   }
 
-  // Accumulates moments of the first `n_flow` particles (the flow particles;
-  // reservoir particles sit behind them after the sort).  Requires
-  // store.cell[i] to hold the real grid cell for i < n_flow.  `weights`
-  // (when non-null) scales every moment by the particle's statistical
-  // weight — the axisymmetric radial weighting; the unweighted loop is kept
-  // separate so the planar hot path is untouched.
+  // Accumulates one sample over the sorted runs: cell c's particles occupy
+  // [starts[c], starts[c] + counts[c]) (the sort phase's per-pairing-cell
+  // tables; the reservoir pseudo-cells past the grid carry no field).  Each
+  // cell belongs to exactly one lane — its shard's owner under `plan`, or
+  // the calling thread when the plan is inactive — and its moments add into
+  // sums_ in ascending index order, so the sums are bit-identical for every
+  // lane count and every shard assignment.  `weights` (when non-null)
+  // scales every moment by the particle's statistical weight — the
+  // axisymmetric radial weighting.
   void accumulate(cmdp::ThreadPool& pool, const ParticleStore<Real>& store,
-                  std::size_t n_flow, const double* weights = nullptr) {
+                  const std::uint32_t* counts, const std::uint32_t* starts,
+                  const cmdp::ShardPlan& plan,
+                  const double* weights = nullptr) {
     using N = physics::Num<Real>;
-    const std::size_t ncells = static_cast<std::size_t>(grid_.ncells());
-    const unsigned lanes = pool.size();
-    if (lane_sums_.size() != lanes * ncells * kMoments)
-      lane_sums_.assign(static_cast<std::size_t>(lanes) * ncells * kMoments,
-                        0.0);
-    else
-      std::fill(lane_sums_.begin(), lane_sums_.end(), 0.0);
-    cmdp::parallel_chunks(pool, n_flow, [&](cmdp::Range r, unsigned tid) {
-      double* s = lane_sums_.data() +
-                  static_cast<std::size_t>(tid) * ncells * kMoments;
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        const std::uint32_t c = store.cell[i];
-        if (c >= ncells) continue;  // defensive: pairing band
-        const double vx = N::to_double(store.ux[i]);
-        const double vy = N::to_double(store.uy[i]);
-        const double vz = N::to_double(store.uz[i]);
-        const double w0 = N::to_double(store.r0[i]);
-        const double w1 = N::to_double(store.r1[i]);
-        double* m = s + static_cast<std::size_t>(c) * kMoments;
-        if (weights == nullptr) {
-          m[0] += 1.0;
-          m[1] += vx;
-          m[2] += vy;
-          m[3] += vz;
-          m[4] += vx * vx + vy * vy + vz * vz;
-          m[5] += w0;
-          m[6] += w1;
-          m[7] += w0 * w0 + w1 * w1;
-        } else {
-          const double w = weights[i];
-          m[0] += w;
-          m[1] += w * vx;
-          m[2] += w * vy;
-          m[3] += w * vz;
-          m[4] += w * (vx * vx + vy * vy + vz * vz);
-          m[5] += w * w0;
-          m[6] += w * w1;
-          m[7] += w * (w0 * w0 + w1 * w1);
-        }
-      }
-    });
-    cmdp::parallel_for(pool, ncells, [&](std::size_t c) {
-      double* dst = sums_.data() + c * kMoments;
-      for (unsigned t = 0; t < lanes; ++t) {
-        const double* src = lane_sums_.data() +
-                            (static_cast<std::size_t>(t) * ncells + c) *
-                                kMoments;
-        for (int m = 0; m < kMoments; ++m) dst[m] += src[m];
-      }
-    });
-    ++samples_;
-  }
-
-  // Per-cell accumulation over the sorted runs: after the counting sort,
-  // cell c's particles occupy [starts[c], starts[c] + counts[c]), every
-  // cell belongs to exactly one lane (its shard's owner), and moments add
-  // into sums_ in ascending index order — so the accumulated sums are
-  // bit-identical for every lane count and every shard assignment, a
-  // stronger guarantee than accumulate()'s lane-major reduction (whose
-  // summation order depends on the lane count).  Also skips accumulate()'s
-  // lanes * ncells zero-fill and reduction entirely.  When `plan` is
-  // inactive (single lane), the cells are walked in order on the control
-  // thread — producing the same bits.
-  void accumulate_sorted(cmdp::ThreadPool& pool,
-                         const ParticleStore<Real>& store,
-                         const std::uint32_t* counts,
-                         const std::uint32_t* starts,
-                         const cmdp::ShardPlan& plan,
-                         const double* weights = nullptr) {
-    using N = physics::Num<Real>;
-    const std::size_t ncells = static_cast<std::size_t>(grid_.ncells());
-    auto run = [&](std::size_t cbegin, std::size_t cend) {
+    const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
+    auto run = [&](std::uint32_t cbegin, std::uint32_t cend) {
       if (cend > ncells) cend = ncells;  // reservoir band carries no field
       for (std::size_t c = cbegin; c < cend; ++c) {
         const std::uint32_t cnt = counts[c];
@@ -179,13 +113,7 @@ class FieldSampler {
         }
       }
     };
-    if (plan.active() && plan.lanes == pool.size()) {
-      cmdp::parallel_shards(pool, plan,
-                            [&](std::uint32_t cbegin, std::uint32_t cend,
-                                unsigned) { run(cbegin, cend); });
-    } else {
-      run(0, ncells);
-    }
+    cmdp::parallel_shards(pool, plan, ncells, run);
     ++samples_;
   }
 
@@ -231,8 +159,7 @@ class FieldSampler {
   }
 
   // --- Checkpoint access (core/checkpoint.*) ---
-  // The per-cell moment accumulator (ncells * 8 doubles); lane scratch is
-  // per-step transient state and never part of a checkpoint.
+  // The per-cell moment accumulator (ncells * 8 doubles).
   const std::vector<double>& accumulated() const { return sums_; }
   void restore(int samples, const std::vector<double>& sums) {
     if (samples < 0 || sums.size() != sums_.size())
@@ -251,7 +178,6 @@ class FieldSampler {
   double sigma_inf_;
   int samples_ = 0;
   std::vector<double> sums_;
-  std::vector<double> lane_sums_;
 };
 
 }  // namespace cmdsmc::core

@@ -1006,7 +1006,7 @@ void Simulation<Real>::refresh_cell_weight() {
 template <class Real>
 void Simulation<Real>::update_shards() {
   const unsigned lanes = pool_->size();
-  if (!cfg_.shard_enable || lanes <= 1) {
+  if (lanes <= 1) {
     shard_plan_.clear();
     return;
   }
@@ -1278,7 +1278,6 @@ void Simulation<Real>::debug_rebalance() {
 
 template <class Real>
 void Simulation<Real>::phase_select_and_collide() {
-  const std::size_t n = store_.size();
   const std::uint32_t pair_cells = ncells_ + res_cells_;
   // counts_/starts_ came from the sort phase's key table — no histogram or
   // scan over the particles here.  Selection and collision are one fused
@@ -1454,31 +1453,11 @@ void Simulation<Real>::phase_select_and_collide() {
     collided.fetch_add(local_coll, std::memory_order_relaxed);
     res_collided.fetch_add(local_res, std::memory_order_relaxed);
   };
-  if (pool_->size() == 1 || n < cmdp::kSerialCutoff) {
-    run_cells(0, pair_cells);
-  } else if (shard_plan_.active() && shard_plan_.lanes == pool_->size()) {
-    // Cell-block shards: each lane walks the contiguous cell blocks the
-    // cost partitioner assigned to it.  Per-cell work is disjoint and every
-    // RNG stream is keyed by particle index and step, so the assignment
-    // (and any repartition) is bit-identical to the static split below.
-    cmdp::parallel_shards(*pool_, shard_plan_,
-                          [&](std::uint32_t cbegin, std::uint32_t cend,
-                              unsigned) { run_cells(cbegin, cend); });
-  } else {
-    // Static fallback (shard.enable=0): particle-balanced cell partition —
-    // lane t owns the cells whose first particle lies in its equal share of
-    // [0, n).
-    const unsigned lanes = pool_->size();
-    pool_->parallel([&](unsigned tid) {
-      const cmdp::Range pr = cmdp::lane_range(n, tid, lanes);
-      const auto lo = std::lower_bound(starts_.begin(), starts_.end(),
-                                       static_cast<std::uint32_t>(pr.begin));
-      const auto hi = std::lower_bound(starts_.begin(), starts_.end(),
-                                       static_cast<std::uint32_t>(pr.end));
-      run_cells(static_cast<std::size_t>(lo - starts_.begin()),
-                static_cast<std::size_t>(hi - starts_.begin()));
-    });
-  }
+  // Each lane walks the contiguous cell blocks the cost partitioner assigned
+  // to it.  Per-cell work is disjoint and every RNG stream is keyed by
+  // particle index and step, so any assignment (and any repartition) is
+  // bit-identical to a serial walk.
+  cmdp::parallel_shards(*pool_, shard_plan_, pair_cells, run_cells);
   counters_.candidates += candidates.load();
   counters_.collisions += collided.load();
   counters_.reservoir_collisions += res_collided.load();
@@ -1486,16 +1465,9 @@ void Simulation<Real>::phase_select_and_collide() {
 
 template <class Real>
 void Simulation<Real>::phase_sample() {
-  // Sharded runs accumulate per cell over the sorted runs (bit-identical
-  // for every lane count); shard.enable=0 keeps the historical lane-major
-  // reduction, whose summation order is pinned to the lane count.
-  if (cfg_.shard_enable)
-    sampler_.accumulate_sorted(
-        *pool_, store_, counts_.data(), starts_.data(), shard_plan_,
-        cfg_.axisymmetric ? store_.weight.data() : nullptr);
-  else
-    sampler_.accumulate(*pool_, store_, flow_count(),
-                        cfg_.axisymmetric ? store_.weight.data() : nullptr);
+  sampler_.accumulate(*pool_, store_, counts_.data(), starts_.data(),
+                      shard_plan_,
+                      cfg_.axisymmetric ? store_.weight.data() : nullptr);
 }
 
 template <class Real>

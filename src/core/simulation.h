@@ -130,8 +130,8 @@ class Simulation {
   const SimCounters& counters() const { return counters_; }
   double plunger_x() const { return plunger_.x; }
 
-  // Cell-block sharding summary (zeros while sharding is inactive: disabled,
-  // single lane, or no step executed yet).  cost_imbalance is the predicted
+  // Cell-block sharding summary (zeros while sharding is inactive: single
+  // lane, or no step executed yet).  cost_imbalance is the predicted
   // max/mean lane cost of the assignment the last step executed under;
   // post_imbalance is the same gauge right after the most recent
   // repartition — the pair shows the balancer working (drift pushes

@@ -287,8 +287,6 @@ const std::vector<OverrideEntry>& override_table() {
       {"reservoir_collisions", "collide reservoir particles",
        set_bool(&core::SimConfig::reservoir_collisions)},
       // --- Cell-block sharding / load balancing ---
-      {"shard.enable", "cell-block shard load balancing (default 1)",
-       set_bool(&core::SimConfig::shard_enable)},
       {"shard.per_lane", "shards per lane (shards = lanes * this)",
        set_int(&core::SimConfig::shard_per_lane)},
       {"shard.threshold", "predicted max/mean imbalance repartition trigger",

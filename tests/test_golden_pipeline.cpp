@@ -81,11 +81,8 @@ std::uint64_t state_hash(const core::Simulation<Real>& sim) {
   return h;
 }
 
-// Hash over the finalized time-averaged fields.  Since the cell-block
-// sharding PR the default sampler accumulates per cell in array order, so
-// this hash is thread- and shard-invariant too (with shard_enable=0 the
-// legacy lane-major reduction returns and it is only meaningful at the
-// pinned kGoldenThreads).
+// Hash over the finalized time-averaged fields.  The sampler accumulates
+// per cell in array order, so this hash is thread- and shard-invariant too.
 std::uint64_t field_hash(const core::FieldStats& f) {
   std::uint64_t h = 1469598103934665603ull;
   h = fnv1a(h, static_cast<std::uint64_t>(f.samples));
@@ -299,15 +296,22 @@ TEST(GoldenPipeline, StateIsThreadCountInvariant) {
   EXPECT_EQ(e.field, f.field);
 }
 
-// The shard partitioner only decides which lane executes a cell block;
-// turning it off (the static particle-balanced split) must not move a
-// single state bit.  The shard knobs must not perturb the partition either.
+// The shard partitioner only decides which lane executes a cell block, so
+// no setting of its knobs may move a single state or field bit: neither the
+// pre-sharding particle-balanced split (cells priced by count alone, one
+// shard per lane, re-cut every step) nor a fine, always-repartitioning plan.
 TEST(GoldenPipeline, ShardPlanDoesNotChangeState) {
-  core::SimConfig off = wedge_cfg();
-  off.shard_enable = false;
-  const auto a = run_case<double>(off, kGoldenThreads);
+  core::SimConfig count_split = wedge_cfg();
+  count_split.shard_collide_weight = 0.0;
+  count_split.shard_adapt = false;
+  count_split.shard_per_lane = 1;
+  count_split.shard_rebalance_threshold = 1.0;
+  count_split.shard_rebalance_interval = 1;
+  const auto a = run_case<double>(count_split, kGoldenThreads);
   EXPECT_EQ(a.state, kGolden[0].state)
-      << "shard.enable=0 changed the particle state";
+      << "the count-priced split changed the particle state";
+  EXPECT_EQ(a.field, kGolden[0].field)
+      << "the count-priced split changed the sampled fields";
 
   core::SimConfig aggressive = wedge_cfg();
   aggressive.shard_per_lane = 7;

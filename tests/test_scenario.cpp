@@ -184,6 +184,28 @@ TEST(ScenarioOverrides, RejectsUnknownAndMalformedKeys) {
     EXPECT_FALSE(scenario::override_help(key).empty()) << key;
 }
 
+// The shard keys address only the cost model: the pre-sharding static split
+// is spelled as a cost-model setting (docs/performance.md), and there is no
+// switch back to a second dispatch.
+TEST(ScenarioOverrides, ShardKeysSetTheCostModel) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  const std::pair<const char*, const char*> count_split[] = {
+      {"shard.collide_weight", "0"}, {"shard.adapt", "0"},
+      {"shard.per_lane", "1"},       {"shard.threshold", "1"},
+      {"shard.interval", "1"},
+  };
+  for (const auto& [k, v] : count_split)
+    scenario::apply_override(spec, k, v);
+  const core::SimConfig cfg = spec.build_config();
+  EXPECT_DOUBLE_EQ(cfg.shard_collide_weight, 0.0);
+  EXPECT_FALSE(cfg.shard_adapt);
+  EXPECT_EQ(cfg.shard_per_lane, 1);
+  EXPECT_DOUBLE_EQ(cfg.shard_rebalance_threshold, 1.0);
+  EXPECT_EQ(cfg.shard_rebalance_interval, 1);
+  EXPECT_THROW(scenario::apply_override(spec, "shard.enable", "0"),
+               cli::ArgError);
+}
+
 TEST(ScenarioOverrides, AxisymmetricFlagRoundTripsAndRejectsIncompatible) {
   // The flag round-trips like any SimConfig field...
   scenario::ScenarioSpec spec = scenario::get_scenario("sphere_axi");

@@ -172,13 +172,20 @@ TEST(ShardPlan, ParallelShardsCoversEveryCellOnce) {
   ASSERT_TRUE(plan.active());
   std::vector<std::atomic<int>> hits(cost.size());
   for (auto& h : hits) h.store(0);
-  cmdp::parallel_shards(pool, plan,
-                        [&](std::uint32_t cb, std::uint32_t ce, unsigned) {
-                          for (std::uint32_t c = cb; c < ce; ++c)
-                            hits[c].fetch_add(1);
-                        });
+  const auto ncells = static_cast<std::uint32_t>(cost.size());
+  auto count_hits = [&](std::uint32_t cb, std::uint32_t ce) {
+    for (std::uint32_t c = cb; c < ce; ++c) hits[c].fetch_add(1);
+  };
+  cmdp::parallel_shards(pool, plan, ncells, count_hits);
   for (std::size_t c = 0; c < hits.size(); ++c)
     ASSERT_EQ(hits[c].load(), 1) << "cell " << c;
+  // A plan built for another lane count (or none at all) falls back to one
+  // serial block over the whole range.
+  cmdp::ThreadPool narrow(2);
+  cmdp::parallel_shards(narrow, plan, ncells, count_hits);
+  cmdp::parallel_shards(narrow, cmdp::ShardPlan{}, ncells, count_hits);
+  for (std::size_t c = 0; c < hits.size(); ++c)
+    ASSERT_EQ(hits[c].load(), 3) << "cell " << c;
 }
 
 }  // namespace
