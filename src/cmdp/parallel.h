@@ -28,20 +28,6 @@ inline Range lane_range(std::size_t n, unsigned tid, unsigned nlanes) {
   return {begin, begin + len};
 }
 
-// Inverse of lane_range: the lane whose range contains index i.  Callers
-// that accumulate per-lane state outside a parallel region (e.g. fixing up
-// fused histograms) must agree with the partition above, so the two live
-// side by side.  Requires i < n; nlanes > n implies base == 0, which only
-// happens below kSerialCutoff where callers use a single lane.
-inline unsigned lane_of_index(std::size_t i, std::size_t n, unsigned nlanes) {
-  if (nlanes <= 1) return 0;
-  const std::size_t base = n / nlanes;
-  const std::size_t rem = n % nlanes;
-  const std::size_t cut = (base + 1) * rem;
-  return i < cut ? static_cast<unsigned>(i / (base + 1))
-                 : static_cast<unsigned>(rem + (i - cut) / base);
-}
-
 // Below this many elements the fork-join overhead dominates; run serially.
 inline constexpr std::size_t kSerialCutoff = 4096;
 

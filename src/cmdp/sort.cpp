@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "cmdp/scan.h"
 #include "cmdp/workspace.h"
 
 namespace cmdsmc::cmdp {
@@ -34,110 +33,112 @@ void histogram(ThreadPool& pool, std::span<const std::uint32_t> keys,
   });
 }
 
-namespace {
-
-// Shared tail of the plan builders once per-lane counts exist in `counts`
-// (lanes x key_bound, lane-major).  Converts the counts in place (or into
-// the workspace cursor table) to absolute scatter destinations and fills
-// starts[0..key_bound] with the per-key exclusive starts.
-void finish_plan_tables(ThreadPool& pool, std::uint32_t* starts,
-                        std::uint32_t* cursors,
-                        const std::uint32_t* counts, unsigned lanes,
-                        std::uint32_t key_bound) {
-  // Column-wise: cursor(t, k) = prefix of counts within key k across lanes;
-  // per-key totals into starts[k + 1].
-  starts[0] = 0;
-  parallel_for(pool, key_bound, [&](std::size_t k) {
-    std::uint32_t running = 0;
-    for (unsigned t = 0; t < lanes; ++t) {
-      const std::size_t at = static_cast<std::size_t>(t) * key_bound + k;
-      const std::uint32_t c = counts[at];
-      cursors[at] = running;
-      running += c;
+std::uint32_t count_key_range(std::span<const std::uint32_t> keys,
+                              std::uint32_t lo, std::uint32_t hi,
+                              std::uint32_t* starts) {
+  std::fill(starts + lo, starts + hi, 0u);
+  const std::uint32_t* const k = keys.data();
+  std::size_t below = 0;
+  for_each_key_block(keys.size(), [&](std::size_t b, std::size_t len) {
+    below += keys_in_range(k + b, len, 0, lo);
+    const std::size_t in = keys_in_range(k + b, len, lo, hi);
+    if (in == len) {
+      for (std::size_t i = b; i < b + len; ++i) ++starts[k[i]];
+    } else if (in != 0) {
+      for (std::size_t i = b; i < b + len; ++i)
+        if (k[i] - lo < hi - lo) ++starts[k[i]];
     }
-    starts[k + 1] = running;
   });
-  // starts[k + 1] = total(k)  ->  inclusive scan turns it into the exclusive
-  // per-key starts (starts[0] stays 0).  In-place aliasing is supported.
-  inclusive_scan<std::uint32_t>(
-      pool, std::span<const std::uint32_t>(starts + 1, key_bound),
-      std::span<std::uint32_t>(starts + 1, key_bound),
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
-  // Make the cursors absolute destinations: cursor(t, k) += starts[k].
-  parallel_for(pool, key_bound, [&](std::size_t k) {
-    const std::uint32_t base = starts[k];
-    for (unsigned t = 0; t < lanes; ++t)
-      cursors[static_cast<std::size_t>(t) * key_bound + k] += base;
-  });
+  // Exclusive prefix over the lane's slice, offset by the keys below it.
+  auto at = static_cast<std::uint32_t>(below);
+  for (std::uint32_t key = lo; key < hi; ++key) {
+    const std::uint32_t c = starts[key];
+    starts[key] = at;
+    at += c;
+  }
+  return at;
 }
 
-// Lays out a plan over workspace storage.  Single-lane plans alias the
-// cursors onto the starts table (the starts ARE the initial cursors), which
-// both skips a copy and is why key_starts must be read before apply.
-SortPlan lay_out_plan(Workspace& ws, std::size_t n, std::uint32_t key_bound,
-                      unsigned lanes) {
-  SortPlan plan;
-  plan.n = n;
-  plan.key_bound = key_bound;
-  plan.lanes = lanes;
-  std::uint32_t* starts = grown(ws.sort_starts, key_bound + std::size_t{1});
-  plan.key_starts = {starts, key_bound + std::size_t{1}};
-  std::uint32_t* cursors =
-      lanes == 1
-          ? starts
-          : grown(ws.sort_cursors, static_cast<std::size_t>(lanes) * key_bound);
-  plan.cursors = {cursors, static_cast<std::size_t>(lanes) * key_bound};
-  return plan;
+void sort_key_cuts(std::span<const std::uint32_t> keys,
+                   std::uint32_t key_bound, std::uint32_t align,
+                   std::span<std::uint32_t> cuts) {
+  const auto lanes = static_cast<unsigned>(cuts.size() - 1);
+  const std::size_t n = keys.size();
+  cuts[0] = 0;
+  cuts[lanes] = key_bound;
+  for (unsigned t = 1; t < lanes; ++t) {
+    std::uint32_t cut = 0;
+    if (n > 0) {
+      // Median of three around the boundary: one particle that just left
+      // its cell (or the flow) does not drag a whole lane's range with it.
+      const std::size_t i = std::min(lane_range(n, t, lanes).begin, n - 1);
+      const std::uint32_t a = keys[i > 0 ? i - 1 : i];
+      const std::uint32_t b = keys[i];
+      const std::uint32_t c = keys[i + 1 < n ? i + 1 : i];
+      cut = std::max(std::min(a, b), std::min(std::max(a, b), c));
+    }
+    cuts[t] = cut - cut % align;
+  }
+  std::sort(cuts.begin() + 1, cuts.end() - 1);
+}
+
+namespace {
+
+// Whether no lane cut by `cuts` scans more than 3/4 of the probe blocks (a
+// lane scans each block holding any of its keys).  Keys in the previous
+// step's order leave a lane its own ~1/lanes plus the blocks its few far
+// outliers land in; a store that is never reordered puts every lane's keys
+// in nearly every block.
+bool lanes_pay_off(std::span<const std::uint32_t> keys,
+                   std::span<const std::uint32_t> cuts) {
+  const std::size_t n = keys.size();
+  const std::size_t blocks = (n + kKeyBlock - 1) / kKeyBlock;
+  const std::size_t probes = std::min(blocks, kProbeBlocks);
+  for (std::size_t t = 0; t + 1 < cuts.size(); ++t) {
+    std::size_t scanned = 0;
+    for (std::size_t j = 0; j < probes; ++j) {
+      const std::size_t b = j * blocks / probes * kKeyBlock;
+      const std::size_t len = std::min(kKeyBlock, n - b);
+      if (keys_in_range(keys.data() + b, len, cuts[t], cuts[t + 1]) != 0)
+        ++scanned;
+    }
+    if (4 * scanned > 3 * probes) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
-SortPlan counting_sort_plan(ThreadPool& pool,
-                            std::span<const std::uint32_t> keys,
-                            std::uint32_t key_bound) {
-  assert(key_bound >= 1 && key_bound <= kDirectSortBound);
-  const std::size_t n = keys.size();
-  const unsigned lanes = sort_plan_lanes(pool, n);
-  SortPlan plan = lay_out_plan(pool.workspace(), n, key_bound, lanes);
-  std::uint32_t* starts = const_cast<std::uint32_t*>(plan.key_starts.data());
-  std::uint32_t* cursors = plan.cursors.data();
-
-  if (lanes == 1) {
-    // starts doubles as the cursor table: build the exclusive starts shifted
-    // by one, then key_starts[k] and cursors[k] coincide.
-    std::fill(starts, starts + key_bound + 1, 0u);
-    for (std::size_t i = 0; i < n; ++i) ++starts[keys[i] + 1];
-    for (std::uint32_t k = 0; k < key_bound; ++k) starts[k + 1] += starts[k];
-    return plan;
+SortPlan lay_out_sort(ThreadPool& pool, std::span<const std::uint32_t> keys,
+                      std::uint32_t key_bound, std::uint32_t align) {
+  assert(key_bound >= 1 && align >= 1);
+  SortPlan plan;
+  plan.n = keys.size();
+  plan.key_bound = key_bound;
+  plan.lanes = pool.size() == 1 || plan.n < kSerialCutoff ? 1 : pool.size();
+  Workspace& ws = pool.workspace();
+  std::uint32_t* const cuts = grown(ws.sort_cuts, plan.lanes + std::size_t{1});
+  sort_key_cuts(keys, key_bound, align, {cuts, plan.lanes + std::size_t{1}});
+  if (plan.lanes > 1 &&
+      !lanes_pay_off(keys, {cuts, plan.lanes + std::size_t{1}})) {
+    plan.lanes = 1;
+    cuts[1] = key_bound;
   }
-
-  // Per-lane key counts, in place in the cursor table.
-  pool.parallel([&](unsigned tid) {
-    std::uint32_t* h = cursors + static_cast<std::size_t>(tid) * key_bound;
-    std::fill(h, h + key_bound, 0u);
-    const Range r = lane_range(n, tid, lanes);
-    for (std::size_t i = r.begin; i < r.end; ++i) ++h[keys[i]];
-  });
-  finish_plan_tables(pool, starts, cursors, cursors, lanes, key_bound);
+  plan.cuts = {cuts, plan.lanes + std::size_t{1}};
+  plan.key_starts = {grown(ws.sort_starts, key_bound + std::size_t{1}),
+                     key_bound + std::size_t{1}};
   return plan;
 }
 
-SortPlan counting_sort_plan_from_counts(
-    ThreadPool& pool, std::span<const std::uint32_t> lane_counts,
-    unsigned lanes, std::size_t n, std::uint32_t key_bound) {
-  assert(key_bound >= 1 && key_bound <= kDirectSortBound);
-  assert(lane_counts.size() >= static_cast<std::size_t>(lanes) * key_bound);
-  assert(lanes == sort_plan_lanes(pool, n));
-  SortPlan plan = lay_out_plan(pool.workspace(), n, key_bound, lanes);
-  std::uint32_t* starts = const_cast<std::uint32_t*>(plan.key_starts.data());
-  if (lanes == 1) {
-    starts[0] = 0;
-    for (std::uint32_t k = 0; k < key_bound; ++k)
-      starts[k + 1] = starts[k] + lane_counts[k];
-    return plan;
-  }
-  finish_plan_tables(pool, starts, plan.cursors.data(), lane_counts.data(),
-                     lanes, key_bound);
+SortPlan counting_sort_plan(ThreadPool& pool,
+                            std::span<const std::uint32_t> keys,
+                            std::uint32_t key_bound) {
+  const SortPlan plan = lay_out_sort(pool, keys, key_bound, 1);
+  for_each_sort_lane(pool, plan, [&](unsigned t) {
+    count_key_range(keys, plan.cuts[t], plan.cuts[t + 1],
+                    plan.key_starts.data());
+  });
+  plan.key_starts[key_bound] = static_cast<std::uint32_t>(plan.n);
   return plan;
 }
 

@@ -2,12 +2,16 @@
 // helpers.  This is the substrate for the paper's per-step "sort particles by
 // (randomized) cell index" — the CM-2 rank-sort.
 //
-// The hot path is the plan/apply pair: counting_sort_plan counts the keys
-// once and lays out the stable scatter (also exposing the per-key starts
-// table, which phase_select folds into per-cell tables for free), and
-// apply_sort_plan moves every record straight to its sorted position in one
-// pass — no intermediate permutation array, no per-field gather passes.
-// All scratch lives in the pool's Workspace, so steady-state sorting is
+// The hot path is a one-table stable counting sort.  Lane t owns the key
+// range [cuts[t], cuts[t+1]) and, with no barrier in between, counts its
+// keys into its slice of one key_bound + 1 table (plus the keys below its
+// range: its absolute output offset, so no cross-lane scan) and then
+// scatters its records, in input order, into its own output slice.  Both
+// passes skip kKeyBlock-key blocks holding none of the lane's keys, which
+// makes near-sorted keys (the previous step's order) cheap; keys in no
+// particular order run on one lane (lay_out_sort).  A stable sort's output
+// is unique, so the cuts and lane count only decide who does the work.
+// The table and cuts live in the pool's Workspace: steady-state sorting is
 // allocation-free.
 #pragma once
 
@@ -25,73 +29,115 @@ namespace cmdsmc::cmdp {
 void histogram(ThreadPool& pool, std::span<const std::uint32_t> keys,
                std::uint32_t key_bound, std::span<std::uint32_t> counts);
 
-// Largest key bound the single-pass counting sort accepts (the per-lane
-// count tables stay cache-friendly below this); stable_sort_index switches
-// to the two-pass radix above it.
+// Largest key bound stable_sort_index sorts with one counting sort; above it
+// the table would outgrow the keys, so it switches to a two-pass radix.
 inline constexpr std::uint32_t kDirectSortBound = 1u << 21;
 
-// A prepared stable counting sort over keys < key_bound <= kDirectSortBound.
-// Spans borrow the pool's Workspace: a plan is invalidated by the next
-// counting_sort_plan / counting_sort_index / stable_sort_index call on the
-// same pool.
+inline constexpr std::size_t kKeyBlock = 64;
+// Blocks lay_out_sort reads to judge whether the keys are near-sorted.
+inline constexpr std::size_t kProbeBlocks = 32;
+
+// How many of the first len keys lie in [lo, hi) — a branch-free count the
+// compiler vectorizes, cheaper than the keys' min and max.
+inline std::size_t keys_in_range(const std::uint32_t* keys, std::size_t len,
+                                 std::uint32_t lo, std::uint32_t hi) {
+  std::uint32_t in = 0;
+  for (std::size_t i = 0; i < len; ++i) in += keys[i] - lo < hi - lo ? 1 : 0;
+  return in;
+}
+
+// block(b, len) for consecutive kKeyBlock-key blocks [b, b + len) of
+// [0, n), the last one possibly shorter.  Full blocks see a constant len,
+// so the compiler unrolls their loops.
+template <class BlockFn>
+void for_each_key_block(std::size_t n, BlockFn&& block) {
+  std::size_t b = 0;
+  for (; b + kKeyBlock <= n; b += kKeyBlock) block(b, kKeyBlock);
+  if (b < n) block(b, n - b);
+}
+
+// Count pass of the lane owning keys [lo, hi): writes into starts[lo..hi)
+// the absolute first sorted position of each key and returns the end of
+// the lane's output slice.  Touches no other table entry.
+std::uint32_t count_key_range(std::span<const std::uint32_t> keys,
+                              std::uint32_t lo, std::uint32_t hi,
+                              std::uint32_t* starts);
+
+// Scatter pass of the lane owning keys [lo, hi): move(src, dst) for each of
+// its keys in input order, dst = cursors[key]++.  From the starts
+// count_key_range left in cursors[lo..hi), every dst is the key's stable
+// sorted position.  `move` is copied: a lane-local mover keeps its pointers
+// in registers across the byte stores it makes.
+template <class MoveFn>
+void scatter_key_range(std::span<const std::uint32_t> keys, std::uint32_t lo,
+                       std::uint32_t hi, std::uint32_t* cursors,
+                       MoveFn move) {
+  const std::uint32_t* const k = keys.data();
+  for_each_key_block(keys.size(), [&](std::size_t b, std::size_t len) {
+    const std::size_t in = keys_in_range(k + b, len, lo, hi);
+    if (in == len) {
+      for (std::size_t i = b; i < b + len; ++i)
+        move(i, static_cast<std::size_t>(cursors[k[i]]++));
+    } else if (in != 0) {
+      for (std::size_t i = b; i < b + len; ++i)
+        if (k[i] - lo < hi - lo)
+          move(i, static_cast<std::size_t>(cursors[k[i]]++));
+    }
+  });
+}
+
+// Ascending cuts[0..lanes]: 0, then the key at each lane_range boundary of
+// the input (median of it and its neighbours) rounded down to a multiple of
+// `align`, then key_bound.  Near-sorted keys get about n / lanes per lane.
+void sort_key_cuts(std::span<const std::uint32_t> keys,
+                   std::uint32_t key_bound, std::uint32_t align,
+                   std::span<std::uint32_t> cuts);
+
+// A stable counting sort cut into lanes.  Spans borrow the pool's
+// Workspace: a plan is invalidated by the next sort on the same pool.
 struct SortPlan {
   std::size_t n = 0;
   std::uint32_t key_bound = 0;
-  unsigned lanes = 1;  // scatter lanes the cursors were laid out for
+  // One below the fork-join cutoff or for keys far from sorted.
+  unsigned lanes = 1;
+  // Lane t owns keys [cuts[t], cuts[t + 1]).
+  std::span<const std::uint32_t> cuts;
   // key_starts[k] = first sorted position of key k; key_starts[key_bound]
-  // = n.  Survives apply_sort_plan.
-  std::span<const std::uint32_t> key_starts;
-  // lanes x key_bound absolute destination cursors, consumed by apply.
-  std::span<std::uint32_t> cursors;
+  // = n.  The scatter consumes it as its cursors: read it first.
+  std::span<std::uint32_t> key_starts;
 };
 
-// One counting pass over keys plus O(lanes * key_bound) table setup.
-// Single-lane plans lay the cursors over the key_starts storage (saving a
-// table copy), so read key_starts before applying the plan.
+// The lanes, cuts (multiples of `align`) and Workspace table of a sort;
+// key_starts is not filled yet.  It keeps the pool's lanes only while, in
+// kProbeBlocks blocks spread evenly over the keys, no lane would scan more
+// than 3/4 of what one lane scans.
+SortPlan lay_out_sort(ThreadPool& pool, std::span<const std::uint32_t> keys,
+                      std::uint32_t key_bound, std::uint32_t align);
+
+// fn(t) for every lane of the plan: inline for one lane, else in one pass
+// of the pool.
+template <class Fn>
+void for_each_sort_lane(ThreadPool& pool, const SortPlan& plan, Fn&& fn) {
+  if (plan.lanes == 1)
+    fn(0u);
+  else
+    pool.parallel(fn);
+}
+
+// Every lane's count pass: a plan with key_starts filled.
 SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
                             std::uint32_t key_bound);
 
-// Same plan from per-lane key counts the caller already accumulated (e.g.
-// fused into the pass that produced the keys), skipping the counting pass
-// entirely.  `lane_counts` holds lanes x key_bound counts where lane t
-// counted exactly the keys in lane_range(n, t, lanes); `lanes` must match
-// the lane layout counting_sort_plan would pick for (pool, n) so that
-// apply_sort_plan partitions identically.
-SortPlan counting_sort_plan_from_counts(
-    ThreadPool& pool, std::span<const std::uint32_t> lane_counts,
-    unsigned lanes, std::size_t n, std::uint32_t key_bound);
-
-// The lane layout counting_sort_plan uses for n elements on this pool; the
-// contract callers of counting_sort_plan_from_counts must reproduce.
-inline unsigned sort_plan_lanes(ThreadPool& pool, std::size_t n) {
-  return (pool.size() == 1 || n < kSerialCutoff) ? 1 : pool.size();
-}
-
-// Executes a plan: calls move(src, dst) exactly once per element, where dst
-// is the element's stable sorted position (equal keys keep input order).
-// Consumes the plan's cursors — apply a plan at most once.
+// Every lane's scatter pass: move(src, dst) once per element, dst its
+// stable sorted position.  Apply a plan at most once.
 template <class MoveFn>
 void apply_sort_plan(ThreadPool& pool, std::span<const std::uint32_t> keys,
                      const SortPlan& plan, MoveFn&& move) {
-  const std::size_t n = keys.size();
-  auto scatter = [&](Range r, unsigned tid) {
-    std::uint32_t* cur =
-        plan.cursors.data() + static_cast<std::size_t>(tid) * plan.key_bound;
-    constexpr std::size_t kAhead = 16;  // hide the cursor-table load latency
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-      if (i + kAhead < r.end) __builtin_prefetch(&cur[keys[i + kAhead]], 1);
-#endif
-      move(i, static_cast<std::size_t>(cur[keys[i]]++));
-    }
-  };
-  if (plan.lanes == 1) {
-    scatter(Range{0, n}, 0);
-    return;
-  }
-  pool.parallel(
-      [&](unsigned tid) { scatter(lane_range(n, tid, plan.lanes), tid); });
+  for_each_sort_lane(pool, plan, [&](unsigned t) {
+    scatter_key_range(keys, plan.cuts[t], plan.cuts[t + 1],
+                      plan.key_starts.data(), move);
+  });
 }
 
 // Stable counting sort.  Fills `order` (size == keys.size()) such that

@@ -15,10 +15,10 @@
 namespace cmdsmc::cmdp {
 
 struct Workspace {
-  // counting_sort_plan: per-key exclusive starts (key_bound + 1) and the
-  // per-lane scatter cursors (lanes x key_bound).
+  // The counting sort: the one per-key starts/cursor table (key_bound + 1)
+  // and the lanes' key cuts (lanes + 1).
   std::vector<std::uint32_t> sort_starts;
-  std::vector<std::uint32_t> sort_cursors;
+  std::vector<std::uint32_t> sort_cuts;
   // histogram: per-lane counts (lanes x key_bound).
   std::vector<std::uint32_t> hist_lanes;
   // stable_sort_index radix passes (the four n-sized arrays).
@@ -34,17 +34,17 @@ struct Workspace {
   std::size_t bytes() const {
     std::size_t total = 0;
     for (const auto* v :
-         {&sort_starts, &sort_cursors, &hist_lanes, &radix_low, &radix_order1,
+         {&sort_starts, &sort_cuts, &hist_lanes, &radix_low, &radix_order1,
           &radix_high, &radix_order2, &compact_ones, &compact_offsets}) {
       total += v->capacity() * sizeof(std::uint32_t);
     }
     return total;
   }
 
-  // Frees every buffer (benchmarks use this to measure the cold-arena cost).
+  // Frees every buffer (a cold arena must sort exactly like a warm one).
   void release() {
     for (auto* v :
-         {&sort_starts, &sort_cursors, &hist_lanes, &radix_low, &radix_order1,
+         {&sort_starts, &sort_cuts, &hist_lanes, &radix_low, &radix_order1,
           &radix_high, &radix_order2, &compact_ones, &compact_offsets}) {
       v->clear();
       v->shrink_to_fit();

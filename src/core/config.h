@@ -218,6 +218,28 @@ struct SimConfig {
           "SimConfig: shard_collide_weight must be in [0, 64]");
     if (sort_scale < 1 || sort_scale > 256)
       throw std::invalid_argument("SimConfig: sort_scale must be in [1,256]");
+    // The sort zero-fills and prefix-sums one 4-byte table entry per sort
+    // key every step.  Past 32 keys per freestream particle (128 B, about a
+    // particle record plus its scratch copy) the table would outweigh the
+    // particles it sorts and its per-step pass would outgrow their O(n) one.
+    if (sort_scale > 32.0 * particles_per_cell)
+      throw std::invalid_argument(
+          "SimConfig: sort_scale must be <= 32 x particles_per_cell (the "
+          "sort's key table would outweigh the particles)");
+    // Sort keys are 32-bit: every pairing cell (grid cells plus the
+    // reservoir's, one per 64 reservoir particles plus one) owns sort_scale
+    // keys, and axisymmetric runs add one past-the-end key.  The reservoir
+    // count is bounded from above by a grid with no body in it.
+    const double cells = static_cast<double>(nx) * ny * (nz > 0 ? nz : 1);
+    const double res_cells =
+        (reservoir_fraction * (particles_per_cell * cells + 1.0) + 1.0) /
+            64.0 +
+        1.0;
+    if ((cells + res_cells) * sort_scale + 1.0 >
+        static_cast<double>(UINT32_MAX))
+      throw std::invalid_argument(
+          "SimConfig: (cells + reservoir pairing cells) x sort_scale "
+          "overflows the 32-bit sort keys; lower sort_scale or the grid size");
     if (transpositions_per_collision < 0 || transpositions_per_collision > 4)
       throw std::invalid_argument(
           "SimConfig: transpositions_per_collision must be in [0, 4]");

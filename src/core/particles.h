@@ -140,14 +140,11 @@ struct ParticleStore {
     copy_record(size() - 1, src);
   }
 
-  // One-pass fused sort -> reorder: moves every record straight to its
-  // stable sorted position (scratch[dst] <- this[src]) using a prepared
-  // counting-sort plan, then swaps the buffers in.  One sequential read pass
-  // over all arrays instead of a permutation array plus one gather pass per
-  // array; the result is identical to reorder() with the plan's order.
-  void scatter_sorted(cmdp::ThreadPool& pool,
-                      std::span<const std::uint32_t> keys,
-                      const cmdp::SortPlan& plan, ParticleStore& scratch) {
+  // Sizes `scratch` like this store and returns move(src, dst), which copies
+  // record src of this store to slot dst of `scratch` (calls with distinct
+  // dst may run concurrently).  Once every record has moved,
+  // swap_arrays(scratch) makes the moved records this store's.
+  auto mover_into(ParticleStore& scratch) {
     scratch.has_z = has_z;
     scratch.has_vib = has_vib;
     scratch.has_weight = has_weight;
@@ -184,26 +181,36 @@ struct ParticleStore {
     std::uint32_t* const scell = scratch.cell.data();
     std::uint8_t* const sflags = scratch.flags.data();
     std::uint32_t* const sid = scratch.id.data();
-    cmdp::apply_sort_plan(
-        pool, keys, plan, [&](std::size_t src, std::size_t dst) {
-          sx[dst] = px[src];
-          sy[dst] = py[src];
-          if (sz != nullptr) sz[dst] = pz[src];
-          sux[dst] = pux[src];
-          suy[dst] = puy[src];
-          suz[dst] = puz[src];
-          sr0[dst] = pr0[src];
-          sr1[dst] = pr1[src];
-          if (sv0 != nullptr) {
-            sv0[dst] = pv0[src];
-            sv1[dst] = pv1[src];
-          }
-          if (sw != nullptr) sw[dst] = pw[src];
-          sperm[dst] = pperm[src];
-          scell[dst] = pcell[src];
-          sflags[dst] = pflags[src];
-          sid[dst] = pid[src];
-        });
+    return [=](std::size_t src, std::size_t dst) {
+      sx[dst] = px[src];
+      sy[dst] = py[src];
+      if (sz != nullptr) sz[dst] = pz[src];
+      sux[dst] = pux[src];
+      suy[dst] = puy[src];
+      suz[dst] = puz[src];
+      sr0[dst] = pr0[src];
+      sr1[dst] = pr1[src];
+      if (sv0 != nullptr) {
+        sv0[dst] = pv0[src];
+        sv1[dst] = pv1[src];
+      }
+      if (sw != nullptr) sw[dst] = pw[src];
+      sperm[dst] = pperm[src];
+      scell[dst] = pcell[src];
+      sflags[dst] = pflags[src];
+      sid[dst] = pid[src];
+    };
+  }
+
+  // One-pass fused sort -> reorder: moves every record straight to its
+  // stable sorted position (scratch[dst] <- this[src]) using a prepared
+  // counting-sort plan, then swaps the buffers in.  One sequential read pass
+  // over all arrays instead of a permutation array plus one gather pass per
+  // array; the result is identical to reorder() with the plan's order.
+  void scatter_sorted(cmdp::ThreadPool& pool,
+                      std::span<const std::uint32_t> keys,
+                      const cmdp::SortPlan& plan, ParticleStore& scratch) {
+    cmdp::apply_sort_plan(pool, keys, plan, mover_into(scratch));
     swap_arrays(scratch);
   }
 
@@ -245,7 +252,7 @@ struct ParticleStore {
     id.swap(scratch.id);
   }
 
- private:
+  // Exchanges every active array with scratch's.
   void swap_arrays(ParticleStore& scratch) {
     x.swap(scratch.x);
     y.swap(scratch.y);

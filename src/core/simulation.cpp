@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
 #include "core/reservoir_policy.h"
 #include "physics/collision.h"
@@ -442,9 +441,8 @@ void Simulation<Real>::emit_step_stats() {
                    : 0.0;
   s.arena_bytes =
       pool_->workspace().bytes() +
-      sizeof(std::uint32_t) * (keys_.capacity() + key_counts_.capacity() +
-                               order_.capacity() + counts_.capacity() +
-                               starts_.capacity());
+      sizeof(std::uint32_t) *
+          (keys_.capacity() + counts_.capacity() + starts_.capacity());
   // Timing deltas.
   const unsigned lanes = timers_.lanes();
   s.lanes = lanes;
@@ -558,8 +556,8 @@ void Simulation<Real>::phase_move_and_boundaries() {
       !cfg_.closed_box && cfg_.upstream == geom::UpstreamMode::kSoftSource;
   const Real one = N::from_double(1.0);
   // Hoisted loop invariants and raw array pointers: byte stores inside the
-  // loop (flags, key counts) would otherwise force the compiler to re-load
-  // every member and vector data pointer each iteration.
+  // loop (flags) would otherwise force the compiler to re-load every member
+  // and vector data pointer each iteration.
   const bool has_z = store_.has_z;
   const int gnx = grid_.nx;
   const int gny = grid_.ny;
@@ -583,22 +581,9 @@ void Simulation<Real>::phase_move_and_boundaries() {
   const bool axi = cfg_.axisymmetric;
   const double* const weightp = axi ? store_.weight.data() : nullptr;
   const double axi_disp[3] = {0.0, kInteriorDispL1, kInteriorMaxDisp};
-  // Key histograms ride along with the key writes: one per scatter lane of
-  // the upcoming sort, so phase_sort can skip its counting pass entirely.
-  const std::uint32_t key_bound = sort_key_bound();
-  key_count_lanes_ =
-      key_bound <= cmdp::kDirectSortBound ? cmdp::sort_plan_lanes(*pool_, n)
-                                          : 0;
-  if (key_count_lanes_ != 0)
-    key_counts_.resize(static_cast<std::size_t>(key_count_lanes_) * key_bound);
   std::atomic<std::uint64_t> removed{0};
   std::atomic<std::uint64_t> strip{0};
   cmdp::parallel_chunks(*pool_, n, [&](cmdp::Range r, unsigned tid) {
-    std::uint32_t* kc = key_count_lanes_ != 0
-                            ? key_counts_.data() +
-                                  static_cast<std::size_t>(tid) * key_bound
-                            : nullptr;
-    if (kc != nullptr) std::fill(kc, kc + key_bound, 0u);
     std::uint64_t local_removed = 0;
     std::uint64_t local_strip = 0;
     // Hoisted out of the loop: entries past `count` are never read, so a
@@ -615,9 +600,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
         // so partners change between steps.
         const std::uint32_t cell = reservoir_pair_cell(i);
         cellp[i] = cell;
-        const std::uint32_t key = key_of(i, cell);
-        keysp[i] = key;
-        if (kc != nullptr) ++kc[key];
+        keysp[i] = key_of(i, cell);
         continue;
       }
       const Real vx = uxp[i];
@@ -656,9 +639,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
           const auto cell = static_cast<std::uint32_t>(iy * gnx + ix);
           cellp[i] = cell;
           if (count_strip && px < one) ++local_strip;
-          const std::uint32_t key = key_of(i, cell);
-          keysp[i] = key;
-          if (kc != nullptr) ++kc[key];
+          keysp[i] = key_of(i, cell);
           continue;
         }
         // 2) Boundary conditions on the rotated state.  The floor at r = 0
@@ -711,9 +692,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
           cellp[i] = reservoir_pair_cell(i);
           ++local_removed;
         }
-        const std::uint32_t key = key_of(i, cellp[i]);
-        keysp[i] = key;
-        if (kc != nullptr) ++kc[key];
+        keysp[i] = key_of(i, cellp[i]);
         continue;
       }
       const Real lo = disp_lo[interior[c0]];
@@ -738,9 +717,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
             (static_cast<std::int64_t>(iz) * gny + iy) * gnx + ix);
         cellp[i] = cell;
         if (count_strip && px < one) ++local_strip;
-        const std::uint32_t key = key_of(i, cell);
-        keysp[i] = key;
-        if (kc != nullptr) ++kc[key];
+        keysp[i] = key_of(i, cell);
         continue;
       }
       // 1) Collisionless motion.
@@ -798,9 +775,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
         cellp[i] = reservoir_pair_cell(i);
         ++local_removed;
       }
-      const std::uint32_t key = key_of(i, cellp[i]);
-      keysp[i] = key;
-      if (kc != nullptr) ++kc[key];
+      keysp[i] = key_of(i, cellp[i]);
     }
     removed.fetch_add(local_removed, std::memory_order_relaxed);
     strip.fetch_add(local_strip, std::memory_order_relaxed);
@@ -831,16 +806,6 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
   const std::size_t k = need < res_tail_ ? need : res_tail_;
   const double ny = grid_.ny;
   const double nz = grid_.is3d() ? grid_.nz : 0.0;
-  const std::size_t key_bound = sort_key_bound();
-  // The move loop counted these tail particles under their reservoir keys;
-  // retract those counts before the re-key below (and restore after).
-  if (key_count_lanes_ != 0) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = n - 1 - j;
-      --key_counts_[cmdp::lane_of_index(i, n, key_count_lanes_) * key_bound +
-                    keys_[i]];
-    }
-  }
   cmdp::parallel_for(*pool_, k, [&](std::size_t j) {
     const std::size_t i = n - 1 - j;
     rng::SplitMix64 g(bits_for(i, kSaltInject));
@@ -864,22 +829,12 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
     // for its new flow cell.
     keys_[i] = sort_key_for(i);
   });
-  if (key_count_lanes_ != 0) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = n - 1 - j;
-      ++key_counts_[cmdp::lane_of_index(i, n, key_count_lanes_) * key_bound +
-                    keys_[i]];
-    }
-  }
   res_tail_ -= k;
   res_count_ -= k;
   counters_.injected += k;
   if (need > k) {
     // Reservoir ran dry: synthesize the remainder directly (costly path the
-    // reservoir design exists to avoid; counted for diagnostics).  Growing
-    // the array shifts every scatter lane, so the fused key histograms are
-    // void — phase_sort falls back to its own counting pass.
-    key_count_lanes_ = 0;
+    // reservoir design exists to avoid; counted for diagnostics).
     rng::SplitMix64 g(rng::hash4(cfg_.seed, store_.size(),
                                  static_cast<std::uint64_t>(step_),
                                  kSaltInject));
@@ -935,72 +890,103 @@ void Simulation<Real>::phase_sort() {
       cfg_.axisymmetric ? balance_weights(/*mark_dead_keys=*/true) : 0;
   const std::size_t n = store_.size();
   // Keys were generated during the move (and fixed up by the injection
-  // paths); the sort phase starts straight at the counting pass.
+  // paths); the sort starts straight at the counting pass.
   const auto scale = static_cast<std::uint32_t>(cfg_.sort_scale);
+  const std::uint32_t ncells = ncells_;
   const std::uint32_t pair_cells = ncells_ + res_cells_;
-  const std::uint32_t key_bound = sort_key_bound();
   counts_.resize(pair_cells);
   starts_.resize(pair_cells);
-  if (key_bound <= cmdp::kDirectSortBound) {
-    const cmdp::SortPlan plan =
-        key_count_lanes_ != 0 &&
-                key_count_lanes_ == cmdp::sort_plan_lanes(*pool_, n)
-            ? cmdp::counting_sort_plan_from_counts(
-                  *pool_, key_counts_, key_count_lanes_, n, key_bound)
-            : cmdp::counting_sort_plan(*pool_, keys_, key_bound);
-    // Fold the sort_scale sub-keys back into per-cell tables: because the
-    // key of cell c lies in [c*scale, (c+1)*scale), the per-cell starts and
-    // counts drop out of the plan's key-starts table without another pass
-    // over the particles.  Read before the scatter: a single-lane plan's
-    // cursors alias the key-starts table and apply consumes them.
-    const std::uint32_t* ks = plan.key_starts.data();
-    cmdp::parallel_for(*pool_, pair_cells, [&](std::size_t c) {
-      const std::uint32_t s = ks[c * scale];
-      starts_[c] = s;
-      counts_[c] = ks[(c + 1) * scale] - s;
-    });
-    store_.scatter_sorted(*pool_, keys_, plan, scratch_);
-  } else {
-    // Key space too large for one counting pass (huge 3D grids): two-pass
-    // radix producing a permutation, gather-based reorder, then per-cell
-    // tables the classic way.
-    order_.resize(n);
-    cmdp::stable_sort_index(*pool_, keys_, key_bound, order_);
-    store_.reorder(*pool_, order_, scratch_);
-    if (dead > 0) {
-      store_.resize(n - dead);
-      keys_.resize(n - dead);
-    }
-    cmdp::histogram(*pool_, store_.cell, pair_cells, counts_);
-    cmdp::exclusive_scan<std::uint32_t>(
-        *pool_, counts_, starts_,
-        [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  // Multi-lane runs price every cell for the shard partitioner inside the
+  // sort pass, at the collide weight adapted just before it.
+  const bool price = pool_->size() > 1;
+  if (price) {
+    adapt_collide_weight(n - dead);
+    shard_cost_.resize(pair_cells);
   }
-  if (dead > 0 && key_bound <= cmdp::kDirectSortBound) {
+  const bool axi = cfg_.axisymmetric;
+  if (axi) cell_weight_.resize(ncells_);
+  const bool res_collide = cfg_.reservoir_collisions;
+  const double cw = shard_collide_weight_;
+  std::uint32_t* const countsp = counts_.data();
+  std::uint32_t* const startsp = starts_.data();
+  double* const costp = shard_cost_.data();
+  const auto mover = store_.mover_into(scratch_);
+  const double* const sorted_weight = axi ? scratch_.weight.data() : nullptr;
+  const cmdp::SortPlan plan =
+      cmdp::lay_out_sort(*pool_, keys_, sort_key_bound(), scale);
+  std::uint32_t* const ks = plan.key_starts.data();
+  cmdp::for_each_sort_lane(*pool_, plan, [&](unsigned t) {
+    // The cuts fall on multiples of sort_scale, so the lane owning keys
+    // [lo, hi) owns the whole cells [lo / scale, hi / scale): the key of
+    // cell c lies in [c*scale, (c+1)*scale), and the cell's start and count
+    // drop out of the lane's slice of the key table with no pass over the
+    // particles.
+    const std::uint32_t lo = plan.cuts[t];
+    const std::uint32_t hi = plan.cuts[t + 1];
+    const std::uint32_t end = cmdp::count_key_range(keys_, lo, hi, ks);
+    const std::uint32_t first = lo / scale;
+    const std::uint32_t last = std::min(hi / scale, pair_cells);
+    for (std::uint32_t c = first; c < last; ++c) {
+      const std::uint32_t next = (c + 1) * scale;
+      startsp[c] = ks[c * scale];
+      countsp[c] = (next < hi ? ks[next] : end) - startsp[c];
+      if (price) {
+        const auto cnt = static_cast<double>(countsp[c]);
+        const bool collides = countsp[c] >= 2 && (c < ncells || res_collide);
+        costp[c] = cnt + (collides ? cw * (cnt * 0.5) : 0.0);
+      }
+    }
+    cmdp::scatter_key_range(keys_, lo, hi, ks, mover);
+    // Axisymmetric: the weighted census of the lane's flow cells, summed in
+    // sorted array order over its own output slice (so independent of the
+    // lane count).
+    if (!axi) return;
+    for (std::uint32_t c = first; c < std::min(last, ncells); ++c) {
+      double acc = 0.0;
+      for (std::uint32_t i = startsp[c], e = i + countsp[c]; i < e; ++i)
+        acc += sorted_weight[i];
+      cell_weight_[c] = acc;
+    }
+  });
+  store_.swap_arrays(scratch_);
+  if (dead > 0) {
     // Merged-away slots are now a contiguous tail behind the reservoir
     // band; drop them.
     store_.resize(n - dead);
     keys_.resize(n - dead);
   }
   res_tail_ = res_count_;
-  key_count_lanes_ = 0;  // consumed
-  if (cfg_.axisymmetric) refresh_cell_weight();
   update_shards();
 }
 
 template <class Real>
-void Simulation<Real>::refresh_cell_weight() {
-  cell_weight_.resize(ncells_);
-  const double* const wp = store_.weight.data();
-  const std::uint32_t* const countsp = counts_.data();
-  const std::uint32_t* const startsp = starts_.data();
-  cmdp::parallel_for(*pool_, ncells_, [&](std::size_t c) {
-    const std::uint32_t s = startsp[c];
-    const std::uint32_t e = s + countsp[c];
-    double acc = 0.0;
-    for (std::uint32_t i = s; i < e; ++i) acc += wp[i];
-    cell_weight_[c] = acc;
-  });
+void Simulation<Real>::adapt_collide_weight(std::size_t particles) {
+  // Adapt the pair-vs-particle cost blend from the aggregate phase timers
+  // (always collected, unlike the per-lane tables): seconds-per-candidate in
+  // the collide phase against seconds-per-particle in move+sort.  The blend
+  // only steers where boundaries land — it cannot perturb physics — so the
+  // nondeterminism of measured seconds is confined to performance.
+  if (!cfg_.shard_adapt) return;
+  adapt_np_ += particles;
+  if (step_ - adapt_last_step_ < cfg_.shard_rebalance_interval) return;
+  const double d_coll =
+      timers_.seconds(phase_id_[kPhaseCollide]) - adapt_collide0_;
+  const double d_other = timers_.seconds(phase_id_[kPhaseMove]) +
+                         timers_.seconds(phase_id_[kPhaseSort]) -
+                         adapt_other0_;
+  const std::uint64_t d_pairs = counters_.candidates - adapt_pairs0_;
+  const std::uint64_t d_np = adapt_np_ - adapt_np0_;
+  if (d_pairs > 1000 && d_np > 1000 && d_coll > 1e-5 && d_other > 1e-5) {
+    double target = (d_coll / static_cast<double>(d_pairs)) /
+                    (d_other / static_cast<double>(d_np));
+    target = target < 0.25 ? 0.25 : (target > 16.0 ? 16.0 : target);
+    shard_collide_weight_ += 0.5 * (target - shard_collide_weight_);
+    adapt_collide0_ += d_coll;
+    adapt_other0_ += d_other;
+    adapt_pairs0_ = counters_.candidates;
+    adapt_np0_ = adapt_np_;
+    adapt_last_step_ = step_;
+  }
 }
 
 template <class Real>
@@ -1010,44 +996,7 @@ void Simulation<Real>::update_shards() {
     shard_plan_.clear();
     return;
   }
-  // Adapt the pair-vs-particle cost blend from the aggregate phase timers
-  // (always collected, unlike the per-lane tables): seconds-per-candidate in
-  // the collide phase against seconds-per-particle in move+sort.  The blend
-  // only steers where boundaries land — it cannot perturb physics — so the
-  // nondeterminism of measured seconds is confined to performance.
-  if (cfg_.shard_adapt) {
-    adapt_np_ += store_.size();
-    if (step_ - adapt_last_step_ >= cfg_.shard_rebalance_interval) {
-      const double d_coll =
-          timers_.seconds(phase_id_[kPhaseCollide]) - adapt_collide0_;
-      const double d_other = timers_.seconds(phase_id_[kPhaseMove]) +
-                             timers_.seconds(phase_id_[kPhaseSort]) -
-                             adapt_other0_;
-      const std::uint64_t d_pairs = counters_.candidates - adapt_pairs0_;
-      const std::uint64_t d_np = adapt_np_ - adapt_np0_;
-      if (d_pairs > 1000 && d_np > 1000 && d_coll > 1e-5 && d_other > 1e-5) {
-        double target = (d_coll / static_cast<double>(d_pairs)) /
-                        (d_other / static_cast<double>(d_np));
-        target = target < 0.25 ? 0.25 : (target > 16.0 ? 16.0 : target);
-        shard_collide_weight_ += 0.5 * (target - shard_collide_weight_);
-        adapt_collide0_ += d_coll;
-        adapt_other0_ += d_other;
-        adapt_pairs0_ = counters_.candidates;
-        adapt_np0_ = adapt_np_;
-        adapt_last_step_ = step_;
-      }
-    }
-  }
   const std::uint32_t pair_cells = ncells_ + res_cells_;
-  shard_cost_.resize(pair_cells);
-  const bool res_collide = cfg_.reservoir_collisions;
-  const double cw = shard_collide_weight_;
-  const std::uint32_t* const countsp = counts_.data();
-  cmdp::parallel_for(*pool_, pair_cells, [&](std::size_t c) {
-    const double cnt = static_cast<double>(countsp[c]);
-    const bool collides = countsp[c] >= 2 && (c < ncells_ || res_collide);
-    shard_cost_[c] = cnt + (collides ? cw * (cnt * 0.5) : 0.0);
-  });
   const unsigned nshards =
       lanes * static_cast<unsigned>(cfg_.shard_per_lane);
   const bool stale = !shard_plan_.active() || shard_plan_.lanes != lanes ||
@@ -1248,8 +1197,6 @@ std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
   merged_total = merged_acc.load();
   counters_.cloned += total_clones;
   counters_.merged += merged_total;
-  // Appends and re-keys invalidate the fused per-lane key histograms.
-  if (total_clones != 0 || merged_total != 0) key_count_lanes_ = 0;
   return merged_total;
 }
 
@@ -1548,7 +1495,6 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   res_count_ = static_cast<std::size_t>(state.res_count);
   res_tail_ = static_cast<std::size_t>(state.res_tail);
   counters_ = state.counters;
-  key_count_lanes_ = 0;  // transient per-step state; regenerate
   // The shard plan is transient too: the first post-restore sort rebuilds
   // it from fresh counts (the assignment carries no physics, so a restore
   // across a different shard/lane configuration reproduces the same bits).

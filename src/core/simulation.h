@@ -68,7 +68,7 @@ class Simulation {
   // Phase indices for the performance breakdown (Table A).
   enum Phase : std::size_t {
     kPhaseMove = 0,   // motion + boundary conditions + injection + sort keys
-    kPhaseSort,       // one-pass counting sort + fused record scatter
+    kPhaseSort,       // one-table counting sort + fused record scatter
     kPhaseSelect,     // kept for reporting compat; 0 since the select/collide
                       // fusion (cell tables now fall out of the sort)
     kPhaseCollide,    // selection + collision of partners (fused traversal)
@@ -236,7 +236,7 @@ class Simulation {
   void soft_source_topup(std::size_t strip_count);
   void phase_sort();
   // Axisymmetric weight balancing (called from phase_sort, before the
-  // counting plan): splits particles heavier than twice their cell's target
+  // counting sort): splits particles heavier than twice their cell's target
   // weight into equal copies (appended at the tail; the sort places them)
   // and merges pairs of particles lighter than half the target within the
   // same cell (mass- and momentum-conserving velocity average, the lost
@@ -244,18 +244,15 @@ class Simulation {
   // is exact too).  Merged-away slots get `mark_dead_keys` ? a past-the-end
   // sort key (the scatter moves them behind the reservoir band where
   // phase_sort truncates them) : weight 0 only (debug_rebalance compacts).
-  // Also accumulates the per-cell weighted census cell_weight_ the collision
-  // phase divides by the annular volume.  Returns the merged-away count.
+  // Returns the merged-away count.
   std::size_t balance_weights(bool mark_dead_keys);
-  // Recomputes the per-cell weighted census cell_weight_ from the sorted
-  // runs (axisymmetric runs; called at the end of phase_sort, after the
-  // scatter and dead-slot truncation).  Per-cell array-order sums, so the
-  // result is independent of the lane count.
-  void refresh_cell_weight();
-  // Evaluates the shard cost model against the fresh per-cell counts,
-  // repartitions when the predicted imbalance drifted past the threshold
-  // (or the plan is stale), and adapts the collide-weight blend from the
-  // aggregate phase timers.  Called at the end of phase_sort.
+  // Moves the shard cost model's collide-weight blend toward the measured
+  // ratio of the aggregate phase timers; `particles` is this step's
+  // particle count.  Called just before the sort prices the cells.
+  void adapt_collide_weight(std::size_t particles);
+  // Evaluates the shard plan against the per-cell costs the sort just
+  // priced and repartitions when the predicted imbalance drifted past the
+  // threshold (or the plan is stale).  Called at the end of phase_sort.
   void update_shards();
   // One fused traversal: candidate pairing + acceptance + collision.  Pairs
   // are disjoint, so fusing is bit-identical to the historical two-pass
@@ -310,7 +307,8 @@ class Simulation {
   geom::Scene scene_;  // all bodies (cfg.body first, then cfg.bodies)
   std::vector<double> open_frac_;
   // Axisymmetric per-cell annular volumes (empty when planar) and the
-  // per-step weighted per-cell census feeding the collision density.
+  // per-step weighted per-cell census feeding the collision density (summed
+  // by the sort from the sorted runs).
   std::vector<double> cell_volume_;
   std::vector<double> cell_weight_;
   // Balance-pass scratch: per-lane merge-candidate tables (lanes * ncells
@@ -332,13 +330,6 @@ class Simulation {
   ParticleStore<Real> store_;
   ParticleStore<Real> scratch_;
   std::vector<std::uint32_t> keys_;
-  // Per-lane key histograms accumulated while the move loop writes keys_,
-  // handed to counting_sort_plan_from_counts so the sort phase skips its
-  // counting pass.  key_count_lanes_ == 0 marks them invalid (radix-range
-  // key space, or the particle array grew after the move loop).
-  std::vector<std::uint32_t> key_counts_;
-  unsigned key_count_lanes_ = 0;
-  std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> counts_;  // per pairing cell
   std::vector<std::uint32_t> starts_;
 
@@ -350,7 +341,7 @@ class Simulation {
   // (never checkpointed — a resumed run rebuilds it on its first step, and
   // the assignment carries no physics).
   cmdp::ShardPlan shard_plan_;
-  std::vector<double> shard_cost_;  // per pairing cell, refreshed per step
+  std::vector<double> shard_cost_;  // per pairing cell, priced by the sort
   double shard_collide_weight_ = 1.0;
   std::uint64_t shard_repartitions_ = 0;
   double shard_cost_imbalance_ = 0.0;

@@ -116,19 +116,3 @@ TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.size(), 1u);
 }
-
-TEST(LaneRange, LaneOfIndexIsExactInverse) {
-  for (std::size_t n : {1u, 7u, 4096u, 100001u}) {
-    for (unsigned lanes : {1u, 2u, 3u, 8u, 13u}) {
-      if (lanes > n) continue;
-      for (unsigned t = 0; t < lanes; ++t) {
-        const cmdp::Range r = cmdp::lane_range(n, t, lanes);
-        for (std::size_t i : {r.begin, r.begin + r.size() / 2, r.end - 1}) {
-          if (r.size() == 0) continue;
-          EXPECT_EQ(cmdp::lane_of_index(i, n, lanes), t)
-              << "n=" << n << " lanes=" << lanes << " i=" << i;
-        }
-      }
-    }
-  }
-}

@@ -20,12 +20,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
+#include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 #include "core/simulation.h"
 #include "fixedpoint/fixed32.h"
 #include "geom/body.h"
 #include "obs/telemetry.h"
+#include "scenario/scenario.h"
 
 namespace {
 
@@ -149,6 +152,18 @@ core::SimConfig tandem_cfg() {
   cfg.particles_per_cell = 8.0;
   cfg.lambda_inf = 0.5;
   cfg.seed = 0x5eed601dULL;
+  return cfg;
+}
+
+// The wedge on a finer grid at the widest sort-key scale: (cells +
+// reservoir pairing cells) x 256 puts the key space above
+// cmdp::kDirectSortBound, the range older pipelines sorted through a
+// separate two-pass radix path.
+core::SimConfig wide_key_cfg() {
+  core::SimConfig cfg = wedge_cfg();
+  cfg.nx = 128;
+  cfg.ny = 64;
+  cfg.sort_scale = 256;
   return cfg;
 }
 
@@ -354,4 +369,60 @@ TEST(GoldenPipeline, RepartitionAcrossCheckpointReproducesHashes) {
   EXPECT_GT(sh.shards, 0u);
   EXPECT_GT(sh.repartitions, 1u);
   EXPECT_GE(sh.post_imbalance, 1.0);
+}
+
+// A key space above kDirectSortBound runs through the same one-table
+// counting sort as every other run.  Pinned from the two-pass radix
+// pipeline that used to sort it, at one lane and at four (the diag hash is
+// a lane-summed reduction, so each lane count has its own).
+TEST(GoldenPipeline, WideKeySpaceMatchesRadixPipeline) {
+  constexpr GoldenTriple kWide[2] = {
+      {0xd06e69e4d4a0f015ull, 0x3a1f6383227bbe5bull, 0x1cbc244b5687511eull},
+      // 1 lane ^, 4 lanes v
+      {0xd06e69e4d4a0f015ull, 0x3a1f6383227bbe5bull, 0x7b4518de6704d958ull},
+  };
+  const unsigned lanes[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    const std::string name = "wide keys @ " + std::to_string(lanes[k]);
+    check(name.c_str(), run_case<double>(wide_key_cfg(), lanes[k]), kWide[k]);
+  }
+  cmdp::ThreadPool pool(1);
+  core::SimulationD sim(wide_key_cfg(), &pool);
+  sim.step();
+  EXPECT_GT(sim.sort_counts().size() * 256u, cmdp::kDirectSortBound);
+}
+
+namespace {
+
+// Counts the pool's parallel regions: every region reports lane 0's busy
+// time exactly once, from the calling thread.
+class RegionCounter : public cmdp::LaneTimeSink {
+ public:
+  void record_lane_time(unsigned tid, double /*seconds*/) override {
+    if (tid == 0) ++regions;
+  }
+  int regions = 0;
+};
+
+}  // namespace
+
+// A sampled step forks the pool once per phase: move, sort, collide and
+// sample.  No phase may add fork-join regions of its own (each costs a
+// wake-up and a barrier on every lane), and the sort must keep its lanes
+// on the near-sorted keys the move hands it.
+TEST(GoldenPipeline, SampledStepOpensOneRegionPerPhase) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  spec.config.particles_per_cell = 4.0;
+  cmdp::ThreadPool pool(4);
+  core::SimulationD sim(spec.build_config(), &pool);
+  sim.run(5);
+  sim.set_sampling(true);
+  RegionCounter counter;
+  pool.set_lane_time_sink(&counter);
+  for (int s = 0; s < 10; ++s) {
+    const int before = counter.regions;
+    sim.step();
+    EXPECT_EQ(counter.regions - before, 4) << "step " << sim.step_index();
+  }
+  pool.set_lane_time_sink(nullptr);
 }

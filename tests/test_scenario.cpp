@@ -206,6 +206,24 @@ TEST(ScenarioOverrides, ShardKeysSetTheCostModel) {
                cli::ArgError);
 }
 
+// `cmdsmc run wedge-mach4 nx=4100 ny=4100 sort_scale=256` asks for a sort
+// key space past 2^32: a config error (exit 2), raised before any particle
+// is allocated.
+TEST(ScenarioOverrides, OverflowingSortKeySpaceIsAConfigError) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  scenario::apply_override(spec, "nx", "4100");
+  scenario::apply_override(spec, "ny", "4100");
+  scenario::apply_override(spec, "sort_scale", "256");
+  try {
+    (void)spec.build_config();
+    FAIL() << "expected the sort key space to be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sort_scale"), std::string::npos);
+    EXPECT_STREQ(cli::error_type(e), "config");
+    EXPECT_EQ(cli::error_exit_code(e), 2);
+  }
+}
+
 TEST(ScenarioOverrides, AxisymmetricFlagRoundTripsAndRejectsIncompatible) {
   // The flag round-trips like any SimConfig field...
   scenario::ScenarioSpec spec = scenario::get_scenario("sphere_axi");

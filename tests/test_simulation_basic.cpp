@@ -63,6 +63,44 @@ TEST(SimConfigValidate, RejectsNonsense) {
   EXPECT_NO_THROW(small_wedge_config().validate());
 }
 
+// Sort keys are 32-bit.  A key space that wraps past 2^32 would sort
+// particles out of cell order without any error, so validate() refuses it
+// before anything is allocated — counting the reservoir's pairing cells.
+TEST(SimConfigValidate, RejectsSortKeySpaceBeyond32Bits) {
+  core::SimConfig cfg = small_wedge_config();
+  cfg.nx = 4100;
+  cfg.ny = 4100;
+  cfg.sort_scale = 256;  // 16.8M cells x 256 = 4.30e9 keys
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // The grid alone fits at 255 (4.287e9 keys); its reservoir does not.
+  cfg.sort_scale = 255;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.reservoir_fraction = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
+
+  cfg.reservoir_fraction = 0.1;
+  cfg.sort_scale = 64;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+// The sort's key table costs 4 bytes per key and is swept every step, so
+// validate() caps it at 32 keys per freestream particle.
+TEST(SimConfigValidate, RejectsKeyTablesHeavierThanTheParticles) {
+  core::SimConfig cfg = small_wedge_config();  // 8 particles per cell
+  cfg.sort_scale = 256;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.particles_per_cell = 4.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.sort_scale = 128;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.particles_per_cell = 0.25;
+  cfg.sort_scale = 8;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.sort_scale = 9;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(Simulation, ConstructsWithExpectedPopulation) {
   cmdp::ThreadPool pool(4);
   const auto cfg = small_wedge_config();
