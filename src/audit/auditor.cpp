@@ -6,35 +6,10 @@
 #include <type_traits>
 
 #include "core/checkpoint.h"
-#include "geom/wedge.h"
 
 namespace cmdsmc::audit {
 
 namespace {
-
-// Flow particles must also clear the legacy single-wedge boundary when the
-// run has no generalized Scene (the wedge predates geom::Scene and is not
-// folded into it).
-template <class Real>
-void check_outside_wedge(const core::ParticleStore<Real>& store,
-                         const geom::Wedge& wedge, std::int64_t step,
-                         std::vector<Violation>& out,
-                         std::size_t max_report = 8) {
-  using N = physics::Num<Real>;
-  std::size_t reported = 0;
-  for (std::size_t i = 0; i < store.size() && reported < max_report; ++i) {
-    if (store.flags[i] & core::ParticleStore<Real>::kReservoirFlag) continue;
-    const double x = N::to_double(store.x[i]);
-    const double y = N::to_double(store.y[i]);
-    if (wedge.inside(x, y)) {
-      out.push_back({Family::kHygiene, step, "move",
-                     static_cast<std::int64_t>(i),
-                     "flow particle inside the wedge at (" +
-                         std::to_string(x) + ", " + std::to_string(y) + ")"});
-      ++reported;
-    }
-  }
-}
 
 std::atomic<std::uint64_t> g_scratch_serial{0};
 
@@ -86,8 +61,6 @@ void Auditor<Real>::after_move(const core::Simulation<Real>& sim) {
   check_finite_store(sim.particles(), step, "move", fresh);
   check_in_domain(sim.particles(), sim.grid(), sim.scene(), step, "move",
                   fresh);
-  if (sim.scene().empty() && sim.wedge() != nullptr)
-    check_outside_wedge(sim.particles(), *sim.wedge(), step, fresh);
   settle(Family::kHygiene, 2, fresh);
   // Cells are final for this step from here on: phase_sort (balance pass +
   // scatter) must conserve every cell's weighted moments.

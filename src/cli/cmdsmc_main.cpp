@@ -86,7 +86,7 @@ std::string body_string(const scenario::ScenarioSpec& s) {
     out += scenario::body_kind_name(b.kind);
   }
   if (!out.empty()) return out;
-  if (s.config.has_wedge) return "wedge (legacy)";
+  if (s.config.has_wedge) return "wedge";
   return "none";
 }
 

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace cmdsmc::core {
 
@@ -42,11 +43,27 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
            static_cast<std::streamsize>(n * sizeof(T)));
 }
 
+// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streampos pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(pos);
+  if (!is || pos < 0 || end < pos)
+    throw std::runtime_error("checkpoint: unreadable stream");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
+// The length field comes from the file, so it is checked against the bytes
+// the file still holds before anything is allocated: a corrupt length is a
+// refusal, never a multi-GiB allocation.
 template <class T>
 void read_vec(std::istream& is, std::vector<T>& v) {
   std::uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!is) throw std::runtime_error("checkpoint: truncated header");
+  read_pod(is, n);
+  if (n > bytes_left(is) / sizeof(T))
+    throw std::runtime_error("checkpoint: array of " + std::to_string(n) +
+                             " entries runs past the end of the file");
   v.resize(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(T)));
@@ -92,22 +109,32 @@ void read_store(std::istream& is, ParticleStore<Real>& s) {
   s.has_vib = has_vib != 0;
   s.has_weight = has_weight != 0;
   read_vec(is, s.x);
-  read_vec(is, s.y);
-  if (s.has_z) read_vec(is, s.z);
-  read_vec(is, s.ux);
-  read_vec(is, s.uy);
-  read_vec(is, s.uz);
-  read_vec(is, s.r0);
-  read_vec(is, s.r1);
+  // ParticleStore::size() is x.size(): every other per-particle array must
+  // match it, or the first step would index past a short one.
+  auto read_column = [&](auto& v) {
+    read_vec(is, v);
+    if (v.size() != s.x.size())
+      throw std::runtime_error(
+          "checkpoint: per-particle arrays differ in length (" +
+          std::to_string(v.size()) + " vs " + std::to_string(s.x.size()) +
+          " particles)");
+  };
+  read_column(s.y);
+  if (s.has_z) read_column(s.z);
+  read_column(s.ux);
+  read_column(s.uy);
+  read_column(s.uz);
+  read_column(s.r0);
+  read_column(s.r1);
   if (s.has_vib) {
-    read_vec(is, s.v0);
-    read_vec(is, s.v1);
+    read_column(s.v0);
+    read_column(s.v1);
   }
-  if (s.has_weight) read_vec(is, s.weight);
-  read_vec(is, s.perm);
-  read_vec(is, s.cell);
-  read_vec(is, s.flags);
-  read_vec(is, s.id);
+  if (s.has_weight) read_column(s.weight);
+  read_column(s.perm);
+  read_column(s.cell);
+  read_column(s.flags);
+  read_column(s.id);
 }
 
 }  // namespace

@@ -43,7 +43,8 @@ struct SimConfig {
   // simulator counts flat as particles migrate in r.  Bodies must be bodies
   // of revolution about r = 0: center them on y = 0 (the half below the axis
   // is the revolved mirror image and is never reached by particles).
-  // Requires nz == 0 and the generalized-body path (no legacy wedge).
+  // Requires nz == 0 and bodies given as cfg.body / cfg.bodies (not the
+  // planar wedge fields).
   bool axisymmetric = false;
 
   // --- Freestream ---
@@ -56,17 +57,19 @@ struct SimConfig {
   double reservoir_fraction = 0.10;  // extra particles parked in the reservoir
 
   // --- Body ---
-  // Legacy wedge-specific path (the paper's only body).
+  // The paper's only body, a wedge on the tunnel floor.  With no `body` or
+  // `bodies` set, the Simulation runs it as the one-body scene
+  // Body::Wedge(wedge_x0, wedge_base, wedge_angle_rad()).
   bool has_wedge = true;
   double wedge_x0 = 20.0;
   double wedge_base = 25.0;
   double wedge_angle_deg = 30.0;
-  // Generalized body: when set it replaces the wedge fields above — the
-  // collision path, fractional cell volumes and surface-flux sampling all go
-  // through the geom::Body subsystem.  Build one with the Body factories
-  // (Body::Wedge reproduces the legacy wedge) and assign per-segment wall
-  // models on it before constructing the Simulation; a body left entirely
-  // specular inherits `wall` / `wall_sigma` below as its default.
+  // A body from the geom::Body factories: when set it replaces the wedge
+  // fields above.  Assign per-segment wall models on it before constructing
+  // the Simulation; a body left entirely specular (the wedge from the
+  // fields above too) inherits `wall` / `wall_sigma` below as its default.
+  // The Runner samples surface fluxes only on bodies given here or in
+  // `bodies` (has_body_scene()).
   std::optional<geom::Body> body;
   // Additional bodies of a multi-body scene.  The Simulation assembles
   // `body` (first, when set) and this list into one geom::Scene; every
@@ -171,9 +174,9 @@ struct SimConfig {
             "with the 3D extension (set nz=0)");
       if (has_wedge && !has_body_scene())
         throw std::invalid_argument(
-            "SimConfig: axisymmetric mode needs a generalized body (or none); "
-            "the legacy wedge path is planar-only (set has_wedge=false or use "
-            "body.kind=...)");
+            "SimConfig: axisymmetric mode needs a body of revolution (or "
+            "none); the wedge described by has_wedge/wedge_* is planar-only "
+            "(set has_wedge=false or use body.kind=...)");
     }
     auto check_body = [&](const geom::Body& b) {
       // Axisymmetric bodies straddle the r = 0 axis (the part below it is
@@ -193,17 +196,10 @@ struct SimConfig {
             "centred on y=0; rings/tori are not supported)");
     };
     for (const geom::Body& b : bodies) check_body(b);
-    if (body) {
+    if (body)
       check_body(*body);
-    } else if (bodies.empty() && has_wedge) {
-      if (wedge_x0 < 0.0 || wedge_x0 + wedge_base >= nx)
-        throw std::invalid_argument("SimConfig: wedge outside the domain");
-      if (wedge_angle_deg <= 0.0 || wedge_angle_deg >= 90.0)
-        throw std::invalid_argument("SimConfig: wedge angle must be in (0,90)");
-      const double h = wedge_base * std::tan(wedge_angle_rad());
-      if (h >= ny)
-        throw std::invalid_argument("SimConfig: wedge taller than the tunnel");
-    }
+    else if (bodies.empty() && has_wedge)
+      check_body(geom::Body::Wedge(wedge_x0, wedge_base, wedge_angle_rad()));
     if (shard_per_lane < 1 || shard_per_lane > 256)
       throw std::invalid_argument(
           "SimConfig: shard_per_lane must be in [1, 256]");

@@ -47,16 +47,6 @@ enum Salt : std::uint64_t {
 };
 
 SimConfig validated(SimConfig cfg) {
-  // A body whose segment walls were never customized inherits the config's
-  // global wall model, so migrating a diffuse-wall setup from the wedge
-  // fields to cfg.body / cfg.bodies does not silently fall back to specular
-  // walls.
-  if (cfg.wall != geom::WallModel::kSpecular) {
-    if (cfg.body && !cfg.body->any_diffuse())
-      cfg.body->set_wall_model(cfg.wall, cfg.wall_sigma);
-    for (geom::Body& b : cfg.bodies)
-      if (!b.any_diffuse()) b.set_wall_model(cfg.wall, cfg.wall_sigma);
-  }
   cfg.validate();
   return cfg;
 }
@@ -67,28 +57,28 @@ geom::Grid make_grid(const SimConfig& cfg) {
   return g;
 }
 
+// The outline the shock analysis measures, for a wedge described by the
+// config's wedge fields (the scene runs it as Body::Wedge).
 std::optional<geom::Wedge> make_wedge(const SimConfig& cfg) {
-  // Any generalized body replaces the wedge-specific path when present.
   if (cfg.has_body_scene() || !cfg.has_wedge) return std::nullopt;
   return geom::Wedge(cfg.wedge_x0, cfg.wedge_base, cfg.wedge_angle_rad());
 }
 
+// Every body of the run: cfg.body first, then cfg.bodies, or else the
+// paper's wedge from the config's wedge fields.  A body whose segment walls
+// were never customized inherits the config's global wall model, so a
+// diffuse-wall setup does not silently fall back to specular walls.
 geom::Scene make_scene(const SimConfig& cfg) {
-  if (!cfg.has_body_scene()) return geom::Scene{};
   std::vector<geom::Body> bodies;
-  bodies.reserve((cfg.body ? 1 : 0) + cfg.bodies.size());
   if (cfg.body) bodies.push_back(*cfg.body);
-  for (const geom::Body& b : cfg.bodies) bodies.push_back(b);
+  bodies.insert(bodies.end(), cfg.bodies.begin(), cfg.bodies.end());
+  if (bodies.empty() && cfg.has_wedge)
+    bodies.push_back(geom::Body::Wedge(cfg.wedge_x0, cfg.wedge_base,
+                                       cfg.wedge_angle_rad()));
+  if (cfg.wall != geom::WallModel::kSpecular)
+    for (geom::Body& b : bodies)
+      if (!b.any_diffuse()) b.set_wall_model(cfg.wall, cfg.wall_sigma);
   return geom::Scene(std::move(bodies));
-}
-
-std::vector<double> make_open_fraction(const geom::Grid& grid,
-                                       const std::optional<geom::Wedge>& w,
-                                       const geom::Scene& scene) {
-  if (!scene.empty()) return scene.open_fraction_table(grid);
-  if (!w) return std::vector<double>(static_cast<std::size_t>(grid.ncells()),
-                                     1.0);
-  return w->open_fraction_table(grid);
 }
 
 // Axisymmetric cell volumes: the cell (ix, iy) is the unit-width annulus
@@ -115,7 +105,7 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
       grid_(make_grid(cfg_)),
       wedge_(make_wedge(cfg_)),
       scene_(make_scene(cfg_)),
-      open_frac_(make_open_fraction(grid_, wedge_, scene_)),
+      open_frac_(scene_.open_fraction_table(grid_)),
       cell_volume_(make_cell_volume(cfg_, grid_)),
       rule_(physics::SelectionRule::make(cfg_.gas, cfg_.lambda_inf, cfg_.sigma,
                                          cfg_.particles_per_cell)),
@@ -160,7 +150,6 @@ void Simulation<Real>::rebuild_interior_mask() {
   bc.y_max = grid_.ny;
   bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
   bc.scene = &scene_;
-  bc.wedge = wedge_ ? &wedge_.value() : nullptr;
   const bool plunger_active =
       !cfg_.closed_box && cfg_.upstream == geom::UpstreamMode::kPlunger;
   const double reach = plunger_active ? cfg_.plunger_trigger + u_inf_ : 0.0;
@@ -248,7 +237,7 @@ void Simulation<Real>::init_particles() {
     do {
       x = g.next_double() * nx;
       y = g.next_double() * ny;
-    } while ((wedge_ && wedge_->inside(x, y)) || scene_.inside(x, y));
+    } while (scene_.inside(x, y));
     const double z = grid_.is3d() ? g.next_double() * nz : 0.0;
     store_.x[i] = N::from_double(x);
     store_.y[i] = N::from_double(y);
@@ -526,17 +515,12 @@ void Simulation<Real>::phase_move_and_boundaries() {
   bc.y_max = grid_.ny;
   bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
   bc.scene = &scene_;
-  bc.wedge = wedge_ ? &wedge_.value() : nullptr;
   bc.plunger_x = plunger_.x + void_width;  // pre-withdrawal face position
   bc.plunger_speed = u_inf_;
   bc.plunger_active = plunger_active;
-  bc.wall = cfg_.wall;
-  bc.wall_sigma = cfg_.wall_sigma;
   bc.closed = cfg_.closed_box;
 
-  const bool need_bc_bits = !scene_.empty()
-                                ? scene_.any_diffuse()
-                                : cfg_.wall != geom::WallModel::kSpecular;
+  const bool need_bc_bits = scene_.any_diffuse();
   const bool record_surface = surface_sampling_ && !scene_.empty();
   // Interior fast path: a particle whose cell is masked and whose per-axis
   // speed stays under the mask's displacement bound provably reaches no
@@ -1438,12 +1422,6 @@ std::uint64_t Simulation<Real>::geometry_hash() const {
   h = geom::fnv1a_hash(h, static_cast<std::uint64_t>(grid_.ny));
   h = geom::fnv1a_hash(h, static_cast<std::uint64_t>(grid_.nz));
   h = geom::fnv1a_hash(h, scene_.geometry_hash());
-  h = geom::fnv1a_hash(h, wedge_ ? 1u : 0u);
-  if (wedge_) {
-    h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.wedge_x0));
-    h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.wedge_base));
-    h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.wedge_angle_deg));
-  }
   h = geom::fnv1a_hash(h, cfg_.closed_box ? 1u : 0u);
   h = geom::fnv1a_hash(h, static_cast<std::uint64_t>(cfg_.upstream));
   h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.plunger_trigger));

@@ -101,11 +101,13 @@ class Simulation {
   // --- Accessors ---
   const SimConfig& config() const { return cfg_; }
   const geom::Grid& grid() const { return grid_; }
+  // The wedge outline for shock analysis when the config describes the body
+  // by its wedge fields (no cfg.body / cfg.bodies); null otherwise.
   const geom::Wedge* wedge() const {
     return wedge_ ? &wedge_.value() : nullptr;
   }
-  // The assembled multi-body scene (empty when the run has no generalized
-  // body).  Bodies keep the order (cfg.body first, then cfg.bodies).
+  // Every body of the run (empty when it has none): cfg.body first, then
+  // cfg.bodies, or else the wedge from the config's wedge fields.
   const geom::Scene& scene() const { return scene_; }
   // First scene body (legacy single-body accessor).
   const geom::Body* body() const {
@@ -303,8 +305,8 @@ class Simulation {
   SimConfig cfg_;
   cmdp::ThreadPool* pool_;
   geom::Grid grid_;
-  std::optional<geom::Wedge> wedge_;
-  geom::Scene scene_;  // all bodies (cfg.body first, then cfg.bodies)
+  std::optional<geom::Wedge> wedge_;  // shock-analysis outline only
+  geom::Scene scene_;  // every body of the run (see scene())
   std::vector<double> open_frac_;
   // Axisymmetric per-cell annular volumes (empty when planar) and the
   // per-step weighted per-cell census feeding the collision density (summed

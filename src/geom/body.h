@@ -2,9 +2,10 @@
 //
 // The paper supports exactly one body (a wedge on the tunnel floor).  This
 // subsystem generalizes that to an arbitrary simple polygon (2D; in quasi-3D
-// runs the body is prism-extruded along z like the legacy wedge).  Each
-// segment carries its own wall model and wall temperature, so a body can mix
-// e.g. a diffuse-isothermal windward face with a specular base.
+// runs the body is prism-extruded along z), and the paper's wedge is the
+// Body::Wedge factory.  Each segment carries its own wall model and wall
+// temperature, so a body can mix e.g. a diffuse-isothermal windward face
+// with a specular base.
 //
 // Conventions:
 //   - Vertices are listed counter-clockwise; the outward unit normal of the
@@ -65,7 +66,7 @@ class Body {
   // --- Factory helpers (all produce convex bodies) ---
   // The paper's wedge: right triangle with leading edge at (x0, 0), base
   // along the floor, apex height base*tan(angle).  The floor edge is
-  // embedded (handled by the tunnel floor, matching the legacy Wedge).
+  // embedded (handled by the tunnel floor).
   static Body Wedge(double x0, double base, double angle_rad);
   // Thin rectangular plate of given chord and thickness, leading edge at
   // (x0, y0), inclined by `incidence_rad` to the flow.

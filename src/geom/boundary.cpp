@@ -66,21 +66,6 @@ double particle_energy(const ParticleState& p) {
                 p.r1 * p.r1);
 }
 
-// Reflects a particle off a violated face plane (outward normal (nx, ny),
-// penetration `depth` < 0) with the given wall model.  Shared by the
-// generalized-body and legacy-wedge paths.
-void reflect_off_face(ParticleState& p, double nx, double ny, double depth,
-                      WallModel model, double wall_sigma,
-                      std::uint64_t rand_bits) {
-  const double px = p.x - depth * nx;
-  const double py = p.y - depth * ny;
-  if (model == WallModel::kSpecular) {
-    specular_reflect(p, px, py, nx, ny);
-  } else {
-    diffuse_reflect(p, px, py, nx, ny, model, wall_sigma, rand_bits);
-  }
-}
-
 // Reflects a particle found inside a scene body off its nearest face, using
 // that segment's wall model, and records the momentum/energy handed to the
 // wall under the scene-wide flat segment index.
@@ -92,8 +77,15 @@ void scene_reflect(ParticleState& p, const Scene& scene, const SceneHit& sh,
   const double pre_ux = p.ux;
   const double pre_uy = p.uy;
   const double pre_e = particle_energy(p);
-  reflect_off_face(p, hit.nx, hit.ny, hit.depth, seg.wall, seg.wall_sigma,
-                   rand_bits);
+  // The point on the violated face plane (penetration depth < 0).
+  const double px = p.x - hit.depth * hit.nx;
+  const double py = p.y - hit.depth * hit.ny;
+  if (seg.wall == WallModel::kSpecular) {
+    specular_reflect(p, px, py, hit.nx, hit.ny);
+  } else {
+    diffuse_reflect(p, px, py, hit.nx, hit.ny, seg.wall, seg.wall_sigma,
+                    rand_bits);
+  }
   if (events != nullptr) {
     const double post_e = particle_energy(p);
     // Incident normal momentum points into the wall (u.n < 0 on arrival),
@@ -157,7 +149,7 @@ bool enforce_boundaries(ParticleState& p, const BoundaryConfig& bc,
       }
     }
 
-    // The bodies: the scene takes precedence over the legacy wedge.
+    // The bodies.
     if (bc.scene != nullptr && !bc.scene->empty()) {
       if (auto hit = bc.scene->nearest_face(p.x, p.y)) {
         scene_reflect(p, *bc.scene, *hit,
@@ -170,13 +162,6 @@ bool enforce_boundaries(ParticleState& p, const BoundaryConfig& bc,
           p.x += 1e-9 * hit->hit.nx;
           p.y += 1e-9 * hit->hit.ny;
         }
-        dirty = true;
-      }
-    } else if (bc.wedge != nullptr) {
-      if (auto hit = bc.wedge->nearest_face(p.x, p.y)) {
-        reflect_off_face(p, hit->nx, hit->ny, hit->depth, bc.wall,
-                         bc.wall_sigma,
-                         rng::mix64(rand_bits + 0x9e37u * (pass + 1)));
         dirty = true;
       }
     }
@@ -209,10 +194,6 @@ bool enforce_boundaries(ParticleState& p, const BoundaryConfig& bc,
       if (p.y < 0.0) p.y = 0.0;
       if (p.y >= bc.y_max) p.y = bc.y_max - 1e-9;
     }
-  } else if (bc.wedge != nullptr && bc.wedge->inside(p.x, p.y)) {
-    // Lift the particle just above the ramp surface.
-    p.y = bc.wedge->surface_y(p.x) + 1e-9;
-    if (p.y >= bc.y_max) p.y = bc.y_max - 1e-9;
   }
   return true;
 }
@@ -234,33 +215,14 @@ std::vector<std::uint8_t> interior_cell_mask(const Grid& grid,
   // or lies fully inside it; the center-point inside() test separates those.
   // The outline is the *union* of every scene body, so adding a second body
   // can never leave a stale "interior" cell beside its surface.
-  struct Seg {
-    double x0, y0, x1, y1;
-  };
-  std::vector<Seg> segs;
-  const bool has_scene = bc.scene != nullptr && !bc.scene->empty();
-  if (has_scene) {
-    for (const Body& b : bc.scene->bodies())
-      for (const BodySegment& s : b.segments())
-        segs.push_back({s.x0, s.y0, s.x1, s.y1});
-  } else if (bc.wedge != nullptr) {
-    const double x0 = bc.wedge->x0();
-    const double ax = bc.wedge->apex_x();
-    const double h = bc.wedge->height();
-    segs.push_back({x0, 0.0, ax, h});   // hypotenuse
-    segs.push_back({ax, h, ax, 0.0});   // back face
-    segs.push_back({ax, 0.0, x0, 0.0});  // floor edge
-  }
+  const bool has_bodies = bc.scene != nullptr && !bc.scene->empty();
   auto box_touches_solid = [&](double bx0, double by0, double bx1,
                                double by1) {
-    for (const Seg& s : segs)
-      if (segment_touches_box(s.x0, s.y0, s.x1, s.y1, bx0, by0, bx1, by1))
-        return true;
-    const double cx = 0.5 * (bx0 + bx1);
-    const double cy = 0.5 * (by0 + by1);
-    if (has_scene) return bc.scene->inside(cx, cy);
-    if (bc.wedge != nullptr) return bc.wedge->inside(cx, cy);
-    return false;
+    for (const Body& b : bc.scene->bodies())
+      for (const BodySegment& s : b.segments())
+        if (segment_touches_box(s.x0, s.y0, s.x1, s.y1, bx0, by0, bx1, by1))
+          return true;
+    return bc.scene->inside(0.5 * (bx0 + bx1), 0.5 * (by0 + by1));
   };
   const int nz = grid.is3d() ? grid.nz : 1;
   for (int iz = 0; iz < nz; ++iz) {
@@ -273,7 +235,7 @@ std::vector<std::uint8_t> interior_cell_mask(const Grid& grid,
                   iy - d >= 0.0 && iy + 1 + d <= bc.y_max;
         if (bc.z_max > 0.0)
           ok = ok && iz - d >= 0.0 && iz + 1 + d <= bc.z_max;
-        if (ok && !segs.empty())
+        if (ok && has_bodies)
           ok = !box_touches_solid(ix - d, iy - d, ix + 1 + d, iy + 1 + d);
         mask[grid.index(ix, iy, iz)] = ok ? 1u : 0u;
       }

@@ -1,9 +1,10 @@
 // Wind-tunnel boundary system (paper: "Boundary Conditions" and "Particle
 // Motion and Boundary Interaction").
 //
-// Hard boundaries: tunnel floor/ceiling (specular), the body (the paper's
-// wedge, or any geom::Body; specular by default, with the paper's
-// future-work no-slip diffuse isothermal/adiabatic walls as options), and
+// Hard boundaries: tunnel floor/ceiling (specular), the bodies of a
+// geom::Scene (the paper's wedge is the one-body scene Body::Wedge; each
+// segment is specular by default, with the paper's future-work no-slip
+// diffuse isothermal/adiabatic walls as options), and
 // the upstream *plunger* — a hard boundary moving with the freestream that
 // is withdrawn when it crosses a trigger point, the void behind it being
 // refilled with reservoir particles.
@@ -19,7 +20,6 @@
 #include "geom/body.h"
 #include "geom/grid.h"
 #include "geom/scene.h"
-#include "geom/wedge.h"
 
 namespace cmdsmc::geom {
 
@@ -98,17 +98,12 @@ struct BoundaryConfig {
   double x_max = 0.0;  // downstream sink plane
   double y_max = 0.0;  // ceiling
   double z_max = 0.0;  // 3D side walls; <= 0 disables z handling
-  // Body geometry: a multi-body Scene (takes precedence when non-empty; a
-  // legacy single body is a one-body scene); the Wedge pointer remains for
-  // the wedge-specific code path.
+  // Body geometry: every body of the run, each segment carrying its own
+  // wall model (null or empty = no body).
   const Scene* scene = nullptr;
-  const Wedge* wedge = nullptr;
   double plunger_x = 0.0;      // current plunger face (0 = inactive wall at 0)
   double plunger_speed = 0.0;  // freestream speed (for moving-frame reflect)
   bool plunger_active = false;
-  // Wall model of the legacy wedge path (Body segments carry their own).
-  WallModel wall = WallModel::kSpecular;
-  double wall_sigma = 0.0;  // thermal std dev of diffuse walls
   // Closed-box mode: the downstream plane becomes a specular wall instead of
   // a sink (used by conservation tests and the baseline comparisons).
   bool closed = false;
@@ -124,8 +119,8 @@ bool enforce_boundaries(ParticleState& p, const BoundaryConfig& bc,
                         WallEventBuffer* events = nullptr);
 
 // Per-cell interior mask for the move-phase fast path.  mask[c] != 0 means
-// no boundary — domain face, upstream wall anywhere in its sweep range, any
-// scene body or the wedge — is reachable from anywhere inside cell c by a
+// no boundary — domain face, upstream wall anywhere in its sweep range or
+// any scene body — is reachable from anywhere inside cell c by a
 // displacement of at most `max_disp` cells per axis.  A particle in a masked
 // cell moving slower than that bound provably needs no boundary enforcement
 // this step (enforce_boundaries would return true without touching it).

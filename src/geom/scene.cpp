@@ -26,6 +26,14 @@ std::uint64_t fnv1a(std::uint64_t h, double v) {
   return fnv1a_hash(h, std::bit_cast<std::uint64_t>(v));
 }
 
+// Truncation equals floor for x >= 0 and compiles to one conversion, where
+// std::floor expands to a longer rounding sequence (baseline x86-64 has no
+// SSE4.1 roundsd); negative coordinates (axisymmetric bodies straddle
+// y = 0) keep floor.
+int floor_to_int(double x) {
+  return x >= 0.0 ? static_cast<int>(x) : static_cast<int>(std::floor(x));
+}
+
 }  // namespace
 
 bool segment_touches_box(double sx0, double sy0, double sx1, double sy1,
@@ -122,8 +130,8 @@ void Scene::build_accel() {
 }
 
 const Scene::AccelCell* Scene::accel_at(double x, double y) const {
-  const int ix = static_cast<int>(std::floor(x)) - ax0_;
-  const int iy = static_cast<int>(std::floor(y)) - ay0_;
+  const int ix = floor_to_int(x) - ax0_;
+  const int iy = floor_to_int(y) - ay0_;
   if (ix < 0 || ix >= anx_ || iy < 0 || iy >= any_) return nullptr;
   return &accel_[static_cast<std::size_t>(iy) * anx_ + ix];
 }
@@ -162,67 +170,6 @@ std::optional<SceneHit> Scene::nearest_face(double x, double y) const {
   if (hit.segment < 0) return std::nullopt;  // all faces embedded
   return SceneHit{b, segment_base_[static_cast<std::size_t>(b)] + hit.segment,
                   hit};
-}
-
-std::optional<SceneRayHit> Scene::segment_hit(double x0, double y0, double x1,
-                                              double y1) const {
-  if (bodies_.empty()) return std::nullopt;
-  // Candidate bodies: those with a facet in any accel cell the query
-  // segment's bounding box overlaps (particle steps span a few cells, so
-  // this walk is short).  Bodies outside that band cannot be crossed.
-  const double lox = std::min(x0, x1);
-  const double hix = std::max(x0, x1);
-  const double loy = std::min(y0, y1);
-  const double hiy = std::max(y0, y1);
-  if (hix < xmin_ || lox > xmax_ || hiy < ymin_ || loy > ymax_)
-    return std::nullopt;
-  const int ix_lo = std::max(0, static_cast<int>(std::floor(lox)) - ax0_);
-  const int ix_hi =
-      std::min(anx_ - 1, static_cast<int>(std::floor(hix)) - ax0_);
-  const int iy_lo = std::max(0, static_cast<int>(std::floor(loy)) - ay0_);
-  const int iy_hi =
-      std::min(any_ - 1, static_cast<int>(std::floor(hiy)) - ay0_);
-  std::vector<bool> seen(bodies_.size(), false);
-  std::optional<SceneRayHit> best;
-  const double dx = x1 - x0;
-  const double dy = y1 - y0;
-  for (int iy = iy_lo; iy <= iy_hi; ++iy) {
-    for (int ix = ix_lo; ix <= ix_hi; ++ix) {
-      const AccelCell& cell =
-          accel_[static_cast<std::size_t>(iy) * anx_ + ix];
-      if (cell.cls != CellClass::kMixed) continue;
-      const double bx0 = ax0_ + ix;
-      const double by0 = ay0_ + iy;
-      if (!segment_touches_box(x0, y0, x1, y1, bx0, by0, bx0 + 1.0,
-                               by0 + 1.0))
-        continue;
-      for (std::uint32_t k = cell.cand_begin; k < cell.cand_end; ++k) {
-        const int b = candidates_[k];
-        if (seen[static_cast<std::size_t>(b)]) continue;
-        seen[static_cast<std::size_t>(b)] = true;
-        const Body& body = bodies_[static_cast<std::size_t>(b)];
-        for (int s = 0; s < body.segment_count(); ++s) {
-          const BodySegment& seg =
-              body.segments()[static_cast<std::size_t>(s)];
-          if (seg.embedded) continue;
-          const double ex = seg.x1 - seg.x0;
-          const double ey = seg.y1 - seg.y0;
-          const double denom = dx * ey - dy * ex;
-          if (denom == 0.0) continue;  // parallel (collinear grazing: miss)
-          const double wx = seg.x0 - x0;
-          const double wy = seg.y0 - y0;
-          const double t = (wx * ey - wy * ex) / denom;
-          const double u = (wx * dy - wy * dx) / denom;
-          if (t < 0.0 || t > 1.0 || u < 0.0 || u > 1.0) continue;
-          // Strict `<` keeps the earliest hit; exact ties resolve to the
-          // lowest (body, segment) by iteration order.
-          if (!best || t < best->t)
-            best = SceneRayHit{b, s, t, x0 + t * dx, y0 + t * dy};
-        }
-      }
-    }
-  }
-  return best;
 }
 
 double Scene::cell_open_fraction(int ix, int iy) const {

@@ -2,14 +2,14 @@
 // uniform-grid acceleration structure over all of their facets.
 //
 // Every query the single-body path used to answer with a linear facet scan
-// — point-in-solid, nearest violated face, segment-vs-facet hit, per-cell
-// open fraction — is answered here in near-O(1) per query: the unit-cell
-// acceleration grid classifies each cell as fully open (no body reachable),
-// fully solid (strictly inside one body, no facet touches the cell) or
-// mixed (a short candidate-body list).  Open cells reject immediately,
-// solid cells identify their body immediately, and mixed cells consult only
-// the bodies whose geometry actually reaches the cell — never the whole
-// scene's facet list.
+// — point-in-solid, nearest violated face, per-cell open fraction — is
+// answered here in near-O(1) per query: the unit-cell acceleration grid
+// classifies each cell as fully open (no body reachable), fully solid
+// (strictly inside one body, no facet touches the cell) or mixed (a short
+// candidate-body list).  Open cells reject immediately, solid cells
+// identify their body immediately, and mixed cells consult only the bodies
+// whose geometry actually reaches the cell — never the whole scene's facet
+// list.
 //
 // The classification is *exact*, not heuristic: a cell is only marked
 // open/solid when no facet of any body touches its (closed) box, so every
@@ -51,14 +51,6 @@ struct SceneHit {
   BodyHit hit;
 };
 
-// First crossing of a directed segment with any non-embedded facet.
-struct SceneRayHit {
-  int body = -1;
-  int segment = -1;    // local segment index within the body
-  double t = 0.0;      // parameter along p0 -> p1 in [0, 1]
-  double x = 0.0, y = 0.0;
-};
-
 class Scene {
  public:
   // An empty scene: no bodies, every query trivially misses.
@@ -96,14 +88,6 @@ class Scene {
   bool inside(double x, double y) const { return inside_body(x, y) >= 0; }
   // Nearest non-embedded face of the containing body; nullopt outside.
   std::optional<SceneHit> nearest_face(double x, double y) const;
-
-  // --- Segment query ---
-  // Earliest intersection of the directed segment p0 -> p1 with any
-  // non-embedded facet of any body (grid walk over the acceleration cells;
-  // only candidate bodies are tested).  nullopt when the segment crosses no
-  // facet.
-  std::optional<SceneRayHit> segment_hit(double x0, double y0, double x1,
-                                         double y1) const;
 
   // --- Open fractions ---
   // Fraction of the unit cell lying outside every body.  Exactly the

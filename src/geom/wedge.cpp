@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "geom/clip.h"
-
 namespace cmdsmc::geom {
 
 Wedge::Wedge(double x0, double base, double angle_rad)
@@ -13,9 +11,6 @@ Wedge::Wedge(double x0, double base, double angle_rad)
     throw std::invalid_argument("Wedge: base must be positive");
   if (angle_rad <= 0.0 || angle_rad >= std::atan(1.0) * 2.0)
     throw std::invalid_argument("Wedge: angle must be in (0, 90) degrees");
-  // Hypotenuse direction (cos a, sin a); outward normal (-sin a, cos a).
-  hx_ = -std::sin(angle_rad);
-  hy_ = std::cos(angle_rad);
 }
 
 double Wedge::surface_y(double x) const {
@@ -25,51 +20,6 @@ double Wedge::surface_y(double x) const {
 
 bool Wedge::inside(double x, double y) const {
   return x > x0_ && x < apex_x() && y > 0.0 && y < (x - x0_) * tan_;
-}
-
-std::optional<SurfaceHit> Wedge::nearest_face(double x, double y) const {
-  if (!inside(x, y)) return std::nullopt;
-  // Signed distance to the hypotenuse plane through A with normal (hx, hy):
-  // negative inside the solid.
-  const double d_hyp = (x - x0_) * hx_ + y * hy_;
-  // Signed distance to the back face plane x = apex_x with outward normal
-  // (+1, 0): negative inside.
-  const double d_back = x - apex_x();
-  // Floor is the wind-tunnel wall, not a wedge face; the only candidate
-  // faces are the hypotenuse and the back face.
-  if (d_hyp >= d_back) {  // both negative; larger = shallower penetration
-    return SurfaceHit{hx_, hy_, d_hyp};
-  }
-  return SurfaceHit{1.0, 0.0, d_back};
-}
-
-double Wedge::cell_open_fraction(int ix, int iy) const {
-  const std::vector<Vec2> tri = {
-      {x0_, 0.0}, {apex_x(), 0.0}, {apex_x(), height()}};
-  const double solid =
-      intersection_area_rect(tri, ix, iy, ix + 1.0, iy + 1.0);
-  double open = 1.0 - solid;
-  if (open < 0.0) open = 0.0;
-  if (open > 1.0) open = 1.0;
-  return open;
-}
-
-std::vector<double> Wedge::open_fraction_table(const Grid& grid) const {
-  std::vector<double> table(static_cast<std::size_t>(grid.ncells()), 1.0);
-  // Only cells overlapping the wedge bounding box need clipping.
-  const int ix_lo = static_cast<int>(std::floor(x0_));
-  const int ix_hi = static_cast<int>(std::ceil(apex_x()));
-  const int iy_hi = static_cast<int>(std::ceil(height()));
-  const int nz = grid.is3d() ? grid.nz : 1;
-  for (int ix = ix_lo; ix < ix_hi && ix < grid.nx; ++ix) {
-    if (ix < 0) continue;
-    for (int iy = 0; iy < iy_hi && iy < grid.ny; ++iy) {
-      const double f = cell_open_fraction(ix, iy);
-      for (int iz = 0; iz < nz; ++iz)
-        table[grid.index(ix, iy, iz)] = f;
-    }
-  }
-  return table;
 }
 
 }  // namespace cmdsmc::geom

@@ -1,5 +1,5 @@
-// The body geometry: an inclined flat plate forming a wedge on the lower
-// wall of the wind tunnel (the paper's only supported body).
+// The outline of the paper's body: an inclined flat plate forming a wedge
+// on the lower wall of the wind tunnel.
 //
 // The wedge is the right triangle with vertices
 //     A = (x0, 0)            leading edge on the floor
@@ -7,22 +7,13 @@
 //     B = (x0 + base, 0)     foot of the vertical back face
 // Flow arrives from -x; the hypotenuse A->C is the compression surface and
 // the vertical face C->B faces the wake.
+//
+// The simulation itself runs the wedge as geom::Body::Wedge inside a
+// geom::Scene; this class only describes the outline the shock analysis
+// (io/shock_analysis) measures against.
 #pragma once
 
-#include <optional>
-#include <vector>
-
-#include "geom/grid.h"
-
 namespace cmdsmc::geom {
-
-struct SurfaceHit {
-  // Unit outward normal of the violated face.
-  double nx = 0.0;
-  double ny = 0.0;
-  // Signed distance of the point from the face plane (negative = inside).
-  double depth = 0.0;
-};
 
 class Wedge {
  public:
@@ -40,26 +31,11 @@ class Wedge {
   // Strictly inside the solid triangle.
   bool inside(double x, double y) const;
 
-  // For a point inside the wedge, the face with the smallest penetration
-  // depth (the face the particle most plausibly crossed).  nullopt outside.
-  std::optional<SurfaceHit> nearest_face(double x, double y) const;
-
-  // Fraction of the unit cell (ix,iy) that lies *outside* the wedge
-  // (1 = fully open, 0 = fully solid).
-  double cell_open_fraction(int ix, int iy) const;
-
-  // Open fraction for every cell of a grid, row-major (2D slice; in 3D the
-  // wedge is extruded along z so the table repeats per z-plane).
-  std::vector<double> open_fraction_table(const Grid& grid) const;
-
  private:
   double x0_;
   double base_;
   double angle_;
   double tan_;
-  // Unit outward normal of the hypotenuse (points up-left, away from solid).
-  double hx_;
-  double hy_;
 };
 
 }  // namespace cmdsmc::geom

@@ -145,8 +145,8 @@ void ConsoleReportSink::write(const RunResult& r) {
     buf << line;
   }
 
-  // Shock metrics for 2D wedge scenarios (legacy or Body::Wedge: the wedge
-  // outline comes from the config either way).
+  // Shock metrics for 2D wedge scenarios (wedge fields or body.kind=wedge:
+  // the outline comes from the config's wedge fields either way).
   if (r.config.has_wedge && !r.config.is3d()) {
     namespace th = physics::theory;
     const geom::Wedge wedge(r.config.wedge_x0, r.config.wedge_base,

@@ -198,8 +198,8 @@ const std::vector<OverrideEntry>& override_table() {
        set_double(&core::SimConfig::particles_per_cell)},
       {"reservoir_fraction", "extra particles parked in the reservoir",
        set_double(&core::SimConfig::reservoir_fraction)},
-      // --- Legacy wedge ---
-      {"has_wedge", "enable the legacy wedge body",
+      // --- The paper's wedge (the body when no body.* is given) ---
+      {"has_wedge", "enable the paper's wedge body",
        set_bool(&core::SimConfig::has_wedge)},
       {"wedge_x0", "wedge leading edge x (cells)",
        set_double(&core::SimConfig::wedge_x0)},
@@ -244,8 +244,8 @@ const std::vector<OverrideEntry>& override_table() {
        }},
       {"plunger_trigger", "plunger withdrawal trigger (cells)",
        set_double(&core::SimConfig::plunger_trigger)},
-      {"wall", "legacy wall model: specular|diffuse_isothermal|"
-               "diffuse_adiabatic",
+      {"wall", "wall model of bodies left specular: specular|"
+               "diffuse_isothermal|diffuse_adiabatic",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.config.wall = parse_wall(k, v);
        }},
@@ -424,7 +424,8 @@ std::vector<ScenarioSpec> make_registry() {
   std::vector<ScenarioSpec> reg;
 
   {
-    // The paper's validation case, on the legacy wedge-specific path so the
+    // The paper's validation case.  The wedge is described by the config's
+    // wedge fields (the Simulation runs it as a one-body scene), so the
     // Runner reproduces examples/wedge_mach4 counters bit-for-bit.
     ScenarioSpec s;
     s.name = "wedge-mach4";
@@ -751,9 +752,9 @@ core::SimConfig ScenarioSpec::build_config() const {
   std::vector<geom::Body> made;
   for (std::size_t n = 0; n < bodies.size(); ++n) {
     BodySpec b = bodies[n];
-    // `body.kind=wedge` with no explicit geometry upgrades the legacy wedge
-    // in place: inherit the config's wedge fields so the two paths describe
-    // the same body (body 0 only; extra bodies must be explicit).
+    // `body.kind=wedge` with no explicit geometry takes its geometry from
+    // the config's wedge fields, so both spellings describe the same body
+    // (body 0 only; extra bodies must be explicit).
     if (n == 0 && b.kind == BodyKind::kWedge && b.chord <= 0.0) {
       b.x0 = cfg.wedge_x0;
       b.chord = cfg.wedge_base;
@@ -761,7 +762,7 @@ core::SimConfig ScenarioSpec::build_config() const {
     }
     if (auto body = b.make(cfg.sigma)) made.push_back(std::move(*body));
   }
-  // First body keeps the legacy cfg.body slot; the rest form the scene list.
+  // First body takes the cfg.body slot; the rest form the scene list.
   cfg.body.reset();
   cfg.bodies.clear();
   if (!made.empty()) {

@@ -20,8 +20,9 @@
 
 namespace cmdsmc::scenario {
 
-// Which geom::Body factory builds the scenario's body (kNone = the legacy
-// wedge-specific path, or no body at all when config.has_wedge is false).
+// Which geom::Body factory builds the scenario's body (kNone = the wedge
+// described by the config's wedge fields, or no body at all when
+// config.has_wedge is false).
 enum class BodyKind { kNone, kWedge, kFlatPlate, kCylinder, kBiconic };
 
 // The override-syntax name of a kind ("none", "wedge", ...); one table
@@ -75,11 +76,11 @@ struct ScenarioSpec {
   std::string name;
   std::string description;
   core::SimConfig config;  // config.body/bodies are never set here; see below
-  // The scene's bodies, in order (bodies[0] is the legacy single body;
-  // kNone entries are skipped at build time).  Never empty.
+  // The scene's bodies, in order (bodies[0] fills config.body; kNone
+  // entries are skipped at build time).  Never empty.
   std::vector<BodySpec> bodies{BodySpec{}};
   RunSchedule schedule;
-  // T_wall / T_inf of the legacy (non-Body) diffuse walls; config.wall_sigma
+  // T_wall / T_inf of the config's default diffuse wall; config.wall_sigma
   // is derived from the *final* sigma at build_config time, so overriding
   // sigma can no longer silently leave the wall at the 0.18 default.
   double wall_temperature_ratio = 1.0;

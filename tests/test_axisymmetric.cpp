@@ -60,7 +60,7 @@ TEST(AxisymmetricConfig, ValidationRules) {
   cfg.nz = 8;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.nz = 0;
-  // The legacy wedge path is planar-only.
+  // The wedge from the wedge_* fields is planar-only.
   cfg.has_wedge = true;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.has_wedge = false;

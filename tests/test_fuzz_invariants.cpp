@@ -23,11 +23,12 @@ constexpr double kRad = 3.14159265358979 / 180.0;
 }
 
 TEST(BoundaryFuzz, AlwaysEndsInsideOpenDomain) {
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene w(
+      std::vector<geom::Body>{geom::Body::Wedge(20.0, 25.0, 30.0 * kRad)});
   geom::BoundaryConfig bc;
   bc.x_max = 98.0;
   bc.y_max = 64.0;
-  bc.wedge = &w;
+  bc.scene = &w;
   bc.plunger_active = true;
   bc.plunger_x = 2.0;
   bc.plunger_speed = 0.8;
@@ -59,13 +60,13 @@ TEST(BoundaryFuzz, AlwaysEndsInsideOpenDomain) {
 }
 
 TEST(BoundaryFuzz, DiffuseWallsAlwaysEject) {
-  geom::Wedge w(10.0, 20.0, 40.0 * kRad);
+  geom::Body wedge = geom::Body::Wedge(10.0, 20.0, 40.0 * kRad);
+  wedge.set_wall_model(geom::WallModel::kDiffuseIsothermal, 0.2);
+  const geom::Scene w(std::vector<geom::Body>{wedge});
   geom::BoundaryConfig bc;
   bc.x_max = 64.0;
   bc.y_max = 48.0;
-  bc.wedge = &w;
-  bc.wall = geom::WallModel::kDiffuseIsothermal;
-  bc.wall_sigma = 0.2;
+  bc.scene = &w;
   cmdsmc::rng::SplitMix64 g(99);
   for (int trial = 0; trial < 20000; ++trial) {
     geom::ParticleState p;
@@ -136,9 +137,7 @@ TEST_P(SimulationFuzz, ShortRunUpholdsInvariants) {
       ASSERT_GE(s.z[i], 0.0);
       ASSERT_LT(s.z[i], static_cast<double>(c.nz));
     }
-    if (sim.wedge() != nullptr) {
-      ASSERT_FALSE(sim.wedge()->inside(s.x[i], s.y[i]));
-    }
+    ASSERT_FALSE(sim.scene().inside(s.x[i], s.y[i]));
   }
   const auto f = sim.field();
   for (double d : f.density) ASSERT_TRUE(std::isfinite(d));

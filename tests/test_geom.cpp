@@ -96,58 +96,6 @@ TEST(Wedge, InsideTests) {
   EXPECT_FALSE(w.inside(30.0, -1.0));  // below the floor
 }
 
-TEST(Wedge, NearestFacePicksShallowestPenetration) {
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  // Just below the ramp surface: hypotenuse is the nearest face.
-  const double x = 30.0;
-  const double y = w.surface_y(x) - 0.1;
-  auto hit = w.nearest_face(x, y);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_LT(hit->depth, 0.0);
-  EXPECT_NEAR(hit->nx, -std::sin(30.0 * kRad), 1e-12);
-  EXPECT_NEAR(hit->ny, std::cos(30.0 * kRad), 1e-12);
-  // Just inside the back face.
-  auto hit2 = w.nearest_face(44.95, 2.0);
-  ASSERT_TRUE(hit2.has_value());
-  EXPECT_NEAR(hit2->nx, 1.0, 1e-12);
-  EXPECT_NEAR(hit2->ny, 0.0, 1e-12);
-  EXPECT_NEAR(hit2->depth, -0.05, 1e-9);
-  // Outside: no face.
-  EXPECT_FALSE(w.nearest_face(10.0, 1.0).has_value());
-}
-
-TEST(Wedge, OpenFractionsMatchAnalyticCells) {
-  geom::Wedge w(20.0, 25.0, 45.0 * kRad);  // 45 degrees for easy analytics
-  // Cell fully inside the solid: e.g. (30..31, 0..1), surface at y = 10..11.
-  EXPECT_NEAR(w.cell_open_fraction(30, 0), 0.0, 1e-12);
-  // Cell fully open (well above the ramp).
-  EXPECT_NEAR(w.cell_open_fraction(30, 30), 1.0, 1e-12);
-  // Cell cut exactly in half by the 45-degree surface: (30..31, 10..11).
-  EXPECT_NEAR(w.cell_open_fraction(30, 10), 0.5, 1e-12);
-}
-
-TEST(Wedge, OpenFractionTableConservesTriangleArea) {
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  geom::Grid g{98, 64, 0};
-  const auto table = w.open_fraction_table(g);
-  double solid = 0.0;
-  for (double f : table) solid += 1.0 - f;
-  const double triangle = 0.5 * 25.0 * w.height();
-  EXPECT_NEAR(solid, triangle, 1e-9);
-}
-
-TEST(Wedge, OpenFractionTable3DRepeatsPerPlane) {
-  geom::Wedge w(4.0, 4.0, 30.0 * kRad);
-  geom::Grid g{16, 8, 3};
-  const auto table = w.open_fraction_table(g);
-  for (int ix = 0; ix < g.nx; ++ix)
-    for (int iy = 0; iy < g.ny; ++iy) {
-      const double f0 = table[g.index(ix, iy, 0)];
-      EXPECT_EQ(f0, table[g.index(ix, iy, 1)]);
-      EXPECT_EQ(f0, table[g.index(ix, iy, 2)]);
-    }
-}
-
 TEST(Wedge, RejectsBadParameters) {
   EXPECT_THROW(geom::Wedge(0.0, -1.0, 30.0 * kRad), std::invalid_argument);
   EXPECT_THROW(geom::Wedge(0.0, 1.0, 0.0), std::invalid_argument);

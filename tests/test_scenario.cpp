@@ -236,7 +236,7 @@ TEST(ScenarioOverrides, AxisymmetricFlagRoundTripsAndRejectsIncompatible) {
   scenario::ScenarioSpec duct = scenario::get_scenario("duct3d");
   scenario::apply_override(duct, "axisymmetric", "true");
   EXPECT_THROW(duct.build_config(), std::invalid_argument);
-  // The legacy-wedge path is planar-only.
+  // The wedge from the wedge_* fields is planar-only.
   scenario::ScenarioSpec wedge = scenario::get_scenario("wedge-mach4");
   scenario::apply_override(wedge, "axisymmetric", "true");
   EXPECT_THROW(wedge.build_config(), std::invalid_argument);

@@ -39,7 +39,6 @@ TEST(Scene, EmptySceneMissesEverything) {
   EXPECT_EQ(s.total_segments(), 0);
   EXPECT_FALSE(s.inside(1.0, 1.0));
   EXPECT_FALSE(s.nearest_face(1.0, 1.0).has_value());
-  EXPECT_FALSE(s.segment_hit(0.0, 0.0, 10.0, 10.0).has_value());
 }
 
 TEST(Scene, FlatSegmentIndexing) {
@@ -57,17 +56,20 @@ TEST(Scene, FlatSegmentIndexing) {
 }
 
 TEST(Scene, InsideAgreesWithBruteForceEverywhere) {
-  // Mixed shapes, including a wedge with an embedded floor edge.
+  // Mixed shapes, including a wedge with an embedded floor edge and a
+  // cylinder straddling y = 0 the way axisymmetric bodies do, so queries at
+  // negative coordinates reach the acceleration grid too.
   std::vector<geom::Body> bodies;
   bodies.push_back(geom::Body::Wedge(8.0, 10.0, 30.0 * kRad));
   bodies.push_back(geom::Body::Cylinder(40.0, 18.0, 5.0, 20));
   bodies.push_back(
       geom::Body::FlatPlate(22.0, 26.0, 12.0, 1.5, 12.0 * kRad));
+  bodies.push_back(geom::Body::Cylinder(24.0, 0.0, 6.0, 16));
   const geom::Scene scene(bodies);
   cmdsmc::rng::SplitMix64 g(42);
   for (int trial = 0; trial < 200000; ++trial) {
     const double x = g.next_double() * 60.0 - 2.0;
-    const double y = g.next_double() * 40.0 - 2.0;
+    const double y = g.next_double() * 48.0 - 10.0;
     ASSERT_EQ(scene.inside_body(x, y), brute_inside(bodies, x, y))
         << x << "," << y;
   }
@@ -130,25 +132,6 @@ TEST(Scene, OpenFractionAddsSolidAreasOfDisjointBodies) {
   for (double f : table) solid += 1.0 - f;
   EXPECT_NEAR(solid,
               scene.body(0).area() + scene.body(1).area(), 1e-6);
-}
-
-TEST(Scene, SegmentHitFindsTheEarliestFacetCrossing) {
-  const geom::Scene s(tandem_bodies());
-  // Horizontal ray through both cylinders: first crossing is body 0's
-  // windward side at x = 24 - 6 (up to faceting).
-  const auto hit = s.segment_hit(0.0, 20.0, 80.0, 20.0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->body, 0);
-  EXPECT_NEAR(hit->x, 18.0, 0.3);  // 24-facet polygon slightly inside r=6
-  EXPECT_NEAR(hit->y, 20.0, 1e-12);
-  // Starting between the bodies: the aft cylinder is hit first.
-  const auto hit2 = s.segment_hit(40.0, 20.0, 80.0, 20.0);
-  ASSERT_TRUE(hit2.has_value());
-  EXPECT_EQ(hit2->body, 1);
-  // A segment clear of everything misses.
-  EXPECT_FALSE(s.segment_hit(0.0, 35.0, 80.0, 35.0).has_value());
-  // A short segment entirely inside the gap misses.
-  EXPECT_FALSE(s.segment_hit(34.0, 20.0, 46.0, 20.0).has_value());
 }
 
 TEST(Scene, GeometryHashDistinguishesScenes) {

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "cmdp/compact.h"
 #include "core/checkpoint.h"
@@ -143,13 +145,46 @@ TEST(Checkpoint, RoundTripsFixedStoreAndRejectsTypeMismatch) {
 }
 
 TEST(Checkpoint, RejectsGarbageFile) {
+  // Every corrupt file is refused with a runtime_error naming the
+  // checkpoint: never a crash, a length_error or a huge allocation, and
+  // never a store whose arrays disagree on the particle count.
   const std::string path = testing::TempDir() + "/cmdsmc_garbage.bin";
+  auto expect_refused = [&](const char* what) {
+    core::ParticleStore<double> s;
+    try {
+      core::load_checkpoint(path, s);
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("checkpoint:", 0), 0u)
+          << what << ": " << e.what();
+    }
+  };
   {
     std::ofstream os(path, std::ios::binary);
     os << "not a checkpoint";
   }
-  core::ParticleStore<double> s;
-  EXPECT_THROW(core::load_checkpoint(path, s), std::runtime_error);
+  expect_refused("text file");
+
+  core::ParticleStore<double> store;
+  store.resize(16);
+  core::save_checkpoint(path, store);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  expect_refused("truncated file");
+
+  core::save_checkpoint(path, store);
+  {
+    // The x array's length field follows the magic (8 bytes), the scalar
+    // tag (4) and the three layout flags (3).
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint64_t huge = std::uint64_t{1} << 62;
+    f.seekp(15);
+    f.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+  }
+  expect_refused("length field of 2^62");
+
+  store.y.pop_back();
+  core::save_checkpoint(path, store);
+  expect_refused("y array one entry short");
   std::remove(path.c_str());
 }
 
