@@ -1,11 +1,22 @@
 // The comparator collision schemes the paper discusses: Bird's per-cell
-// time counter and Nanbu's one-sided scheme.
+// time counter and Nanbu's one-sided scheme, plus the standalone pairwise
+// scheme they are compared against.
+//
+// The BaselinePins tests pin the exact state each scheme leaves after 30
+// steps.  Regenerate (after an *intentional* change of a scheme only) with:
+//   GOLDEN_PRINT=1 ./test_baselines --gtest_filter='BaselinePins.*'
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "baseline/bird_tc.h"
 #include "baseline/nanbu.h"
+#include "baseline/pairwise.h"
 #include "rng/rng.h"
 #include "rng/samplers.h"
 
@@ -64,7 +75,126 @@ double ux_kurtosis(const core::ParticleStore<double>& s) {
   return m4 / (m2 * m2);
 }
 
+// The ablation's workload: a rectangular-velocity gas, uniform or with 90%
+// of the particles in the first 10% of the columns.
+core::ParticleStore<double> ablation_gas(const geom::Grid& grid, double ppc,
+                                         bool imbalanced,
+                                         std::uint64_t seed) {
+  core::ParticleStore<double> s;
+  cmdsmc::rng::SplitMix64 g(seed);
+  const auto n =
+      static_cast<std::size_t>(ppc * static_cast<double>(grid.ncells()));
+  s.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = g.next_double() * grid.nx;
+    if (imbalanced && g.next_double() < 0.9)
+      x = g.next_double() * grid.nx * 0.1;
+    const double y = g.next_double() * grid.ny;
+    s.x[i] = x;
+    s.y[i] = y;
+    s.ux[i] = cmdsmc::rng::sample_rectangular(g, 0.2);
+    s.uy[i] = cmdsmc::rng::sample_rectangular(g, 0.2);
+    s.uz[i] = cmdsmc::rng::sample_rectangular(g, 0.2);
+    s.r0[i] = cmdsmc::rng::sample_rectangular(g, 0.2);
+    s.r1[i] = cmdsmc::rng::sample_rectangular(g, 0.2);
+    s.perm[i] =
+        cmdsmc::rng::perm_table()[g.next_below(cmdsmc::rng::kPermCount)];
+    s.cell[i] = grid.index(static_cast<int>(x), static_cast<int>(y));
+    s.id[i] = static_cast<std::uint32_t>(i);
+  }
+  return s;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Hash over every store array in array order plus the collision count.
+std::uint64_t state_hash(const core::ParticleStore<double>& s,
+                         std::uint64_t collisions) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const auto* v : {&s.x, &s.y, &s.ux, &s.uy, &s.uz, &s.r0, &s.r1})
+    for (double d : *v) h = fnv1a(h, std::bit_cast<std::uint64_t>(d));
+  for (auto p : s.perm) h = fnv1a(h, static_cast<std::uint64_t>(p));
+  for (auto c : s.cell) h = fnv1a(h, c);
+  for (auto f : s.flags) h = fnv1a(h, f);
+  for (auto id : s.id) h = fnv1a(h, id);
+  return fnv1a(h, collisions);
+}
+
+// Runs 30 steps of Scheme on both boxes at 1 and 4 threads and checks each
+// box's pin (the schemes' results do not depend on the thread count).
+template <class Scheme>
+void check_pins(const char* scheme, const std::uint64_t (&pins)[2]) {
+  const geom::Grid grid{24, 24, 0};
+  baseline::BaselineConfig cfg;
+  cfg.pc_inf = 0.5;
+  cfg.n_inf = 24.0;
+  for (int box = 0; box < 2; ++box) {
+    for (unsigned threads : {1u, 4u}) {
+      cmdp::ThreadPool pool(threads);
+      auto gas = ablation_gas(grid, cfg.n_inf, box == 1, 99);
+      Scheme s(grid, cfg);
+      for (int step = 0; step < 30; ++step) s.collision_step(pool, gas);
+      const std::uint64_t got = state_hash(gas, s.collisions());
+      const std::string name = std::string(scheme) +
+                               (box == 1 ? " imbalanced" : " uniform") +
+                               " @" + std::to_string(threads);
+      if (std::getenv("GOLDEN_PRINT") != nullptr) {
+        std::printf("  0x%016llxull,  // %s\n",
+                    static_cast<unsigned long long>(got), name.c_str());
+        continue;
+      }
+      EXPECT_EQ(got, pins[box]) << name << ": state diverged";
+    }
+  }
+}
+
 }  // namespace
+
+// Pins recorded before the baselines moved from histogram + scan +
+// radix-sort + per-array gathers to the one-table counting sort.
+TEST(BaselinePins, PairwiseScheme) {
+  constexpr std::uint64_t kPins[2] = {0xedfdb314f97b2574ull,   // uniform
+                                      0x77e6f041107b07e5ull};  // imbalanced
+  check_pins<baseline::PairwiseScheme>("pairwise", kPins);
+}
+
+TEST(BaselinePins, BirdTimeCounter) {
+  constexpr std::uint64_t kPins[2] = {0x836abf4bff302383ull,
+                                      0xee49a4ccc8dd72c5ull};
+  check_pins<baseline::BirdTimeCounter>("bird", kPins);
+}
+
+TEST(BaselinePins, NanbuScheme) {
+  constexpr std::uint64_t kPins[2] = {0x8d023a7d442794ccull,
+                                      0x0b143b4dde464510ull};
+  check_pins<baseline::NanbuScheme>("nanbu", kPins);
+}
+
+TEST(PairwiseScheme, ConservesEnergyAndMomentumExactly) {
+  cmdp::ThreadPool pool(4);
+  geom::Grid grid{12, 12, 0};  // above the fork-join cutoff at 40 ppc
+  auto gas = equilibrium_gas(grid, 40.0, 0.2, 9);
+  // The pairwise kernel permutes with each particle's stored permutation
+  // vector, so every particle needs a valid one.
+  cmdsmc::rng::SplitMix64 g(10);
+  for (auto& p : gas.perm) p = cmdsmc::rng::random_perm(g);
+  baseline::BaselineConfig cfg;
+  cfg.pc_inf = 0.5;
+  cfg.n_inf = 40.0;
+  baseline::PairwiseScheme pairwise(grid, cfg);
+  const double e0 = total_energy(gas);
+  const double p0 = momentum_x(gas);
+  for (int s = 0; s < 20; ++s) pairwise.collision_step(pool, gas);
+  EXPECT_GT(pairwise.collisions(), 0u);
+  EXPECT_NEAR(total_energy(gas) / e0, 1.0, 1e-12);
+  EXPECT_NEAR(momentum_x(gas), p0, 1e-9);
+}
 
 TEST(BirdTimeCounter, ConservesEnergyAndMomentumExactly) {
   cmdp::ThreadPool pool(4);
