@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
 #include "physics/collision.h"
 #include "rng/rng.h"
@@ -22,24 +21,19 @@ void BirdTimeCounter::collision_step(cmdp::ThreadPool& pool,
   const std::size_t n = store.size();
   const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
   order_.resize(n);
-  counts_.resize(ncells);
-  starts_.resize(ncells);
-  cmdp::counting_sort_index(pool, store.cell, ncells, order_);
-  cmdp::histogram(pool, store.cell, ncells, counts_);
-  cmdp::exclusive_scan<std::uint32_t>(
-      pool, counts_, starts_,
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  starts_.resize(ncells + std::size_t{1});
+  cmdp::counting_sort_index(pool, store.cell, ncells, order_, starts_);
 
   const double t_end = static_cast<double>(step_ + 1);
   std::atomic<std::uint64_t> coll{0};
   // Cell-level parallelism: this is the scheme's intrinsic granularity.
   cmdp::parallel_for(pool, ncells, [&](std::size_t c) {
-    const std::uint32_t cnt = counts_[c];
+    const std::uint32_t s = starts_[c];
+    const std::uint32_t cnt = starts_[c + 1] - s;
     if (cnt < 2) {
       cell_time_[c] = t_end;  // empty cells simply keep up with global time
       return;
     }
-    const std::uint32_t s = starts_[c];
     // Per-particle collision frequency at this cell's density.
     const double nu = cfg_.pc_inf * static_cast<double>(cnt) / cfg_.n_inf;
     const double dt_coll = 2.0 / (static_cast<double>(cnt) * nu);

@@ -8,6 +8,12 @@
 // so the work per step is bounded by the most populated cell — the load
 // imbalance the paper's particles-to-processors mapping eliminates.
 //
+// Each step finds every cell's particles with one stable counting sort of
+// their cell indices (cmdp::counting_sort_index): the order lists the
+// particles cell by cell, and the sort's starts table gives each cell's
+// first position and, by difference, its count.  The store itself is
+// never reordered.
+//
 // To isolate the *selection* scheme difference, the actual two-body collision
 // uses the same Baganoff 5-vector kernel as the main code.
 #pragma once
@@ -48,9 +54,10 @@ class BirdTimeCounter {
   std::vector<double> cell_time_;  // asynchronous cell clocks
   std::int64_t step_ = 0;
   std::uint64_t collisions_ = 0;
-  // scratch
+  // The sort's output: particles in cell order, and each cell's first
+  // position in it (ncells + 1 entries; a cell's count is the difference of
+  // neighbouring starts).
   std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> starts_;
 };
 

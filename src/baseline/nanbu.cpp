@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
 #include "physics/collision.h"
 #include "rng/rng.h"
@@ -18,13 +17,8 @@ void NanbuScheme::collision_step(cmdp::ThreadPool& pool,
   const std::size_t n = store.size();
   const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
   order_.resize(n);
-  counts_.resize(ncells);
-  starts_.resize(ncells);
-  cmdp::counting_sort_index(pool, store.cell, ncells, order_);
-  cmdp::histogram(pool, store.cell, ncells, counts_);
-  cmdp::exclusive_scan<std::uint32_t>(
-      pool, counts_, starts_,
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  starts_.resize(ncells + std::size_t{1});
+  cmdp::counting_sort_index(pool, store.cell, ncells, order_, starts_);
 
   for (auto& v : new_v_) v.resize(n);
   hit_.resize(n);
@@ -37,13 +31,13 @@ void NanbuScheme::collision_step(cmdp::ThreadPool& pool,
     for (std::size_t i = r.begin; i < r.end; ++i) {
       hit_[i] = 0;
       const std::uint32_t c = store.cell[i];
-      const std::uint32_t cnt = counts_[c];
+      const std::uint32_t s = starts_[c];
+      const std::uint32_t cnt = starts_[c + 1] - s;
       if (cnt < 2) continue;
       rng::SplitMix64 g(rng::hash4(cfg_.seed, i,
                                    static_cast<std::uint64_t>(step_), 78));
       const double p = cfg_.pc_inf * static_cast<double>(cnt) / cfg_.n_inf;
       if (g.next_double() >= p) continue;
-      const std::uint32_t s = starts_[c];
       const auto self = static_cast<std::uint32_t>(i);
       std::uint32_t j = self;
       for (int tries = 0; tries < 8 && j == self; ++tries)

@@ -8,6 +8,10 @@
 // energy only in the mean — the deficiency the paper points out ("conserve
 // only the mean energy and momentum of a cell and their extension to
 // reacting flows is questionable").
+//
+// Partners are drawn through the same cell sort as Bird's scheme: one
+// cmdp::counting_sort_index call gives the particles in cell order and each
+// cell's start and count.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +42,10 @@ class NanbuScheme {
   BaselineConfig cfg_;
   std::int64_t step_ = 0;
   std::uint64_t collisions_ = 0;
+  // The sort's output: particles in cell order, and each cell's first
+  // position in it (ncells + 1 entries).
   std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> starts_;
-  std::vector<std::uint32_t> rank_;  // particle -> rank within its cell
   std::vector<double> new_v_[5];
   std::vector<std::uint8_t> hit_;
 };

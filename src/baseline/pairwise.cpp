@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
 #include "physics/collision.h"
 #include "rng/permutation.h"
@@ -24,21 +23,20 @@ void PairwiseScheme::collision_step(cmdp::ThreadPool& pool,
   const std::size_t n = store.size();
   const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
   keys_.resize(n);
-  order_.resize(n);
-  counts_.resize(ncells);
-  starts_.resize(ncells);
+  starts_.resize(ncells + std::size_t{1});
   cmdp::parallel_for(pool, n, [&](std::size_t i) {
     const std::uint32_t r = static_cast<std::uint32_t>(
         rng::hash4(cfg_.seed, i, static_cast<std::uint64_t>(step_), 101) %
         kSortScale);
     keys_[i] = store.cell[i] * kSortScale + r;
   });
-  cmdp::stable_sort_index(pool, keys_, ncells * kSortScale, order_);
-  store.reorder(pool, order_, scratch_);
-  cmdp::histogram(pool, store.cell, ncells, counts_);
-  cmdp::exclusive_scan<std::uint32_t>(
-      pool, counts_, starts_,
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  const cmdp::SortPlan plan =
+      cmdp::counting_sort_plan(pool, keys_, ncells * kSortScale);
+  // Cell c's first key is c * kSortScale; read the starts before the
+  // scatter consumes the table.
+  for (std::uint32_t c = 0; c <= ncells; ++c)
+    starts_[c] = plan.key_starts[c * kSortScale];
+  store.scatter_sorted(pool, keys_, plan, scratch_);
 
   std::atomic<std::uint64_t> coll{0};
   cmdp::parallel_chunks(pool, n, [&](cmdp::Range r, unsigned) {
@@ -46,11 +44,11 @@ void PairwiseScheme::collision_step(cmdp::ThreadPool& pool,
     for (std::size_t i = r.begin; i < r.end; ++i) {
       const std::uint32_t c = store.cell[i];
       const std::uint32_t s = starts_[c];
+      const std::uint32_t cnt = starts_[c + 1] - s;
       const std::uint32_t rank = static_cast<std::uint32_t>(i) - s;
       if (rank & 1u) continue;
-      if (i + 1 >= s + counts_[c]) continue;
-      const double p =
-          cfg_.pc_inf * static_cast<double>(counts_[c]) / cfg_.n_inf;
+      if (rank + 1 >= cnt) continue;
+      const double p = cfg_.pc_inf * static_cast<double>(cnt) / cfg_.n_inf;
       const std::uint64_t bits =
           rng::hash4(cfg_.seed, i, static_cast<std::uint64_t>(step_), 102);
       if (p < 1.0 && rng::u64_to_unit_double(rng::mix64(bits)) >= p) continue;

@@ -2,7 +2,9 @@
 // (sort by randomized cell key, even/odd pairing, pair-local selection,
 // 5-vector collision) — the same algorithm the Simulation driver embeds,
 // packaged like the Bird/Nanbu baselines so the three selection schemes can
-// be compared on identical workloads.
+// be compared on identical workloads.  It sorts like the driver too: a
+// counting_sort_plan over the randomized keys, each cell's start read from
+// the plan's key table, then one ParticleStore::scatter_sorted pass.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,7 @@ class PairwiseScheme {
   std::uint64_t collisions_ = 0;
   core::ParticleStore<double> scratch_;
   std::vector<std::uint32_t> keys_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> counts_;
+  // Each cell's first position after the sort (ncells + 1 entries).
   std::vector<std::uint32_t> starts_;
 };
 

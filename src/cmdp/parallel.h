@@ -31,7 +31,7 @@ inline Range lane_range(std::size_t n, unsigned tid, unsigned nlanes) {
 // Below this many elements the fork-join overhead dominates; run serially.
 inline constexpr std::size_t kSerialCutoff = 4096;
 
-// Per-lane partial values of reductions and scans.  Up to kInlineLanes the
+// Per-lane partial values of reductions.  Up to kInlineLanes the
 // partials live on the stack, so the per-call heap allocation the primitives
 // used to make disappears on any sane machine.
 inline constexpr unsigned kInlineLanes = 64;

@@ -3,35 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
+#include "cmdp/parallel.h"
 #include "cmdp/workspace.h"
 
 namespace cmdsmc::cmdp {
-
-void histogram(ThreadPool& pool, std::span<const std::uint32_t> keys,
-               std::uint32_t key_bound, std::span<std::uint32_t> counts) {
-  assert(counts.size() >= key_bound);
-  std::fill(counts.begin(), counts.begin() + key_bound, 0u);
-  const std::size_t n = keys.size();
-  if (pool.size() == 1 || n < kSerialCutoff) {
-    for (std::size_t i = 0; i < n; ++i) ++counts[keys[i]];
-    return;
-  }
-  const unsigned lanes = pool.size();
-  std::uint32_t* local = grown(pool.workspace().hist_lanes,
-                               static_cast<std::size_t>(lanes) * key_bound);
-  pool.parallel([&](unsigned tid) {
-    std::uint32_t* h = local + static_cast<std::size_t>(tid) * key_bound;
-    std::fill(h, h + key_bound, 0u);
-    const Range r = lane_range(n, tid, lanes);
-    for (std::size_t i = r.begin; i < r.end; ++i) ++h[keys[i]];
-  });
-  parallel_for(pool, key_bound, [&](std::size_t k) {
-    std::uint32_t total = 0;
-    for (unsigned t = 0; t < lanes; ++t)
-      total += local[static_cast<std::size_t>(t) * key_bound + k];
-    counts[k] = total;
-  });
-}
 
 std::uint32_t count_key_range(std::span<const std::uint32_t> keys,
                               std::uint32_t lo, std::uint32_t hi,
@@ -144,45 +119,16 @@ SortPlan counting_sort_plan(ThreadPool& pool,
 
 void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
                          std::uint32_t key_bound,
-                         std::span<std::uint32_t> order) {
+                         std::span<std::uint32_t> order,
+                         std::span<std::uint32_t> starts) {
   assert(order.size() == keys.size());
+  assert(starts.size() == key_bound + std::size_t{1});
   const SortPlan plan = counting_sort_plan(pool, keys, key_bound);
+  // The scatter consumes the plan's table as its cursors: copy it first.
+  std::copy(plan.key_starts.begin(), plan.key_starts.end(), starts.begin());
   apply_sort_plan(pool, keys, plan, [&](std::size_t src, std::size_t dst) {
     order[dst] = static_cast<std::uint32_t>(src);
   });
-}
-
-void stable_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
-                       std::uint32_t key_bound,
-                       std::span<std::uint32_t> order) {
-  const std::size_t n = keys.size();
-  if (key_bound <= kDirectSortBound) {
-    counting_sort_index(pool, keys, key_bound, order);
-    return;
-  }
-  // Two-pass LSD radix over 16-bit digits (workspace-backed scratch).
-  Workspace& ws = pool.workspace();
-  std::span<std::uint32_t> low(grown(ws.radix_low, n), n);
-  std::span<std::uint32_t> order1(grown(ws.radix_order1, n), n);
-  std::span<std::uint32_t> high_sorted(grown(ws.radix_high, n), n);
-  std::span<std::uint32_t> order2(grown(ws.radix_order2, n), n);
-  parallel_for(pool, n, [&](std::size_t i) { low[i] = keys[i] & 0xffffu; });
-  counting_sort_index(pool, low, 1u << 16, order1);
-  parallel_for(pool, n,
-               [&](std::size_t i) { high_sorted[i] = keys[order1[i]] >> 16; });
-  const auto high_bound = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(1u << 16, ((std::uint64_t)key_bound >> 16) + 1));
-  counting_sort_index(pool, high_sorted, high_bound, order2);
-  parallel_for(pool, n, [&](std::size_t i) { order[i] = order1[order2[i]]; });
-}
-
-bool is_permutation_of_iota(std::span<const std::uint32_t> order) {
-  std::vector<std::uint8_t> seen(order.size(), 0);
-  for (std::uint32_t v : order) {
-    if (v >= order.size() || seen[v]) return false;
-    seen[v] = 1;
-  }
-  return true;
 }
 
 }  // namespace cmdsmc::cmdp

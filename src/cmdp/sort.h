@@ -1,37 +1,29 @@
-// Stable key sorts producing a gather permutation, plus histogram and gather
-// helpers.  This is the substrate for the paper's per-step "sort particles by
-// (randomized) cell index" — the CM-2 rank-sort.
+// The stable key sort behind the paper's per-step "sort particles by
+// (randomized) cell index" — the CM-2 rank-sort — used alike by the
+// simulation and the baseline collision schemes.
 //
-// The hot path is a one-table stable counting sort.  Lane t owns the key
-// range [cuts[t], cuts[t+1]) and, with no barrier in between, counts its
-// keys into its slice of one key_bound + 1 table (plus the keys below its
+// It is a one-table stable counting sort.  Lane t owns the key range
+// [cuts[t], cuts[t+1]) and, with no barrier in between, counts its keys
+// into its slice of one key_bound + 1 table (plus the keys below its
 // range: its absolute output offset, so no cross-lane scan) and then
 // scatters its records, in input order, into its own output slice.  Both
 // passes skip kKeyBlock-key blocks holding none of the lane's keys, which
 // makes near-sorted keys (the previous step's order) cheap; keys in no
 // particular order run on one lane (lay_out_sort).  A stable sort's output
 // is unique, so the cuts and lane count only decide who does the work.
-// The table and cuts live in the pool's Workspace: steady-state sorting is
+// The table is also each key's start, so callers read per-cell counts and
+// starts from it instead of a separate histogram and scan.  The table and
+// cuts live in the pool's Workspace: steady-state sorting is
 // allocation-free.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "cmdp/parallel.h"
 #include "cmdp/thread_pool.h"
 
 namespace cmdsmc::cmdp {
-
-// counts[k] = number of occurrences of key k; keys must be < key_bound.
-void histogram(ThreadPool& pool, std::span<const std::uint32_t> keys,
-               std::uint32_t key_bound, std::span<std::uint32_t> counts);
-
-// Largest key bound stable_sort_index sorts with one counting sort; above it
-// the table would outgrow the keys, so it switches to a two-pass radix.
-inline constexpr std::uint32_t kDirectSortBound = 1u << 21;
 
 inline constexpr std::size_t kKeyBlock = 64;
 // Blocks lay_out_sort reads to judge whether the keys are near-sorted.
@@ -141,34 +133,12 @@ void apply_sort_plan(ThreadPool& pool, std::span<const std::uint32_t> keys,
 }
 
 // Stable counting sort.  Fills `order` (size == keys.size()) such that
-// keys[order[0]] <= keys[order[1]] <= ... with equal keys in input order.
+// keys[order[0]] <= keys[order[1]] <= ... with equal keys in input order,
+// and `starts` (size == key_bound + 1) with the first sorted position of
+// each key: key k occupies order[starts[k] .. starts[k + 1]).
 void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
                          std::uint32_t key_bound,
-                         std::span<std::uint32_t> order);
-
-// Stable sort for arbitrary 32-bit keys: radix over 16-bit digits built on
-// counting_sort_index.  Chooses single-pass counting sort when key_bound is
-// small enough.
-void stable_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
-                       std::uint32_t key_bound, std::span<std::uint32_t> order);
-
-// out[i] = in[order[i]] — the gather that applies a sort permutation.
-template <class T>
-void gather(ThreadPool& pool, std::span<const T> in,
-            std::span<const std::uint32_t> order, std::span<T> out) {
-  parallel_for(pool, order.size(),
-               [&](std::size_t i) { out[i] = in[order[i]]; });
-}
-
-// out[order[i]] = in[i] — the inverse scatter.
-template <class T>
-void scatter(ThreadPool& pool, std::span<const T> in,
-             std::span<const std::uint32_t> order, std::span<T> out) {
-  parallel_for(pool, order.size(),
-               [&](std::size_t i) { out[order[i]] = in[i]; });
-}
-
-// Verifies `order` is a permutation of [0, n) — used by tests and debug mode.
-bool is_permutation_of_iota(std::span<const std::uint32_t> order);
+                         std::span<std::uint32_t> order,
+                         std::span<std::uint32_t> starts);
 
 }  // namespace cmdsmc::cmdp

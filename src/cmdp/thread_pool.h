@@ -2,8 +2,10 @@
 //
 // The paper's algorithm is expressed purely in terms of data-parallel
 // primitives (elementwise maps over "virtual processors", reductions, scans,
-// rank-sorts).  On the CM-2 these were provided by Paris / C*; here they are
-// provided over a persistent fork-join thread pool on a multicore CPU.
+// rank-sorts).  On the CM-2 these were provided by Paris / C*; here maps,
+// reductions and the rank-sort run over a persistent fork-join thread pool
+// on a multicore CPU, and the sort's per-key starts table stands in for the
+// scans (each cell's count and first position).
 #pragma once
 
 #include <condition_variable>

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "cmdp/parallel.h"
 #include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 #include "rng/permutation.h"
@@ -69,24 +68,6 @@ struct ParticleStore {
     id.resize(n);
   }
 
-  void reserve(std::size_t n) {
-    x.reserve(n);
-    y.reserve(n);
-    if (has_z) z.reserve(n);
-    ux.reserve(n);
-    uy.reserve(n);
-    uz.reserve(n);
-    r0.reserve(n);
-    r1.reserve(n);
-    if (has_weight) weight.reserve(n);
-    perm.reserve(n);
-    cell.reserve(n);
-    flags.reserve(n);
-    id.reserve(n);
-  }
-
-  void clear() { resize(0); }
-
   void push_back(Real px, Real py, Real pz, Real vx, Real vy, Real vz,
                  Real rot0, Real rot1, rng::PackedPerm p,
                  std::uint8_t flag = 0, double w = 1.0) {
@@ -109,9 +90,9 @@ struct ParticleStore {
     id.push_back(static_cast<std::uint32_t>(id.size()));
   }
 
-  // Copies record `src` over record `dst` in every active array — the one
-  // authoritative per-field enumeration compaction and cloning share (a new
-  // field only has to be added here and in resize/scatter/reorder).
+  // Copies record `src` over record `dst` in every active array — the
+  // per-field enumeration compaction and cloning share (a new field has to
+  // be added here, in resize/push_back, mover_into and swap_arrays).
   void copy_record(std::size_t dst, std::size_t src) {
     x[dst] = x[src];
     y[dst] = y[src];
@@ -130,14 +111,6 @@ struct ParticleStore {
     cell[dst] = cell[src];
     flags[dst] = flags[src];
     id[dst] = id[src];
-  }
-
-  // Appends an exact copy of record `src` (same cell, flags and id — clones
-  // keep their parent's identity; the weight-balancing pass of axisymmetric
-  // runs divides the parent's weight over the copies afterwards).
-  void push_clone(std::size_t src) {
-    resize(size() + 1);
-    copy_record(size() - 1, src);
   }
 
   // Sizes `scratch` like this store and returns move(src, dst), which copies
@@ -206,50 +179,12 @@ struct ParticleStore {
   // stable sorted position (scratch[dst] <- this[src]) using a prepared
   // counting-sort plan, then swaps the buffers in.  One sequential read pass
   // over all arrays instead of a permutation array plus one gather pass per
-  // array; the result is identical to reorder() with the plan's order.
+  // array.
   void scatter_sorted(cmdp::ThreadPool& pool,
                       std::span<const std::uint32_t> keys,
                       const cmdp::SortPlan& plan, ParticleStore& scratch) {
     cmdp::apply_sort_plan(pool, keys, plan, mover_into(scratch));
     swap_arrays(scratch);
-  }
-
-  // Applies a sort permutation: this[i] <- this[order[i]] for every array.
-  // `scratch` provides reusable buffers; contents are swapped in.
-  void reorder(cmdp::ThreadPool& pool, std::span<const std::uint32_t> order,
-               ParticleStore& scratch) {
-    scratch.has_z = has_z;
-    scratch.has_vib = has_vib;
-    scratch.has_weight = has_weight;
-    scratch.resize(size());
-    auto apply = [&](std::vector<Real>& a, std::vector<Real>& s) {
-      cmdp::gather<Real>(pool, a, order, s);
-      a.swap(s);
-    };
-    apply(x, scratch.x);
-    apply(y, scratch.y);
-    if (has_z) apply(z, scratch.z);
-    apply(ux, scratch.ux);
-    apply(uy, scratch.uy);
-    apply(uz, scratch.uz);
-    apply(r0, scratch.r0);
-    apply(r1, scratch.r1);
-    if (has_vib) {
-      apply(v0, scratch.v0);
-      apply(v1, scratch.v1);
-    }
-    if (has_weight) {
-      cmdp::gather<double>(pool, weight, order, scratch.weight);
-      weight.swap(scratch.weight);
-    }
-    cmdp::gather<rng::PackedPerm>(pool, perm, order, scratch.perm);
-    perm.swap(scratch.perm);
-    cmdp::gather<std::uint32_t>(pool, cell, order, scratch.cell);
-    cell.swap(scratch.cell);
-    cmdp::gather<std::uint8_t>(pool, flags, order, scratch.flags);
-    flags.swap(scratch.flags);
-    cmdp::gather<std::uint32_t>(pool, id, order, scratch.id);
-    id.swap(scratch.id);
   }
 
   // Exchanges every active array with scratch's.

@@ -833,6 +833,11 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
                        N::from_double(v.v[1]), N::from_double(v.v[2]),
                        N::from_double(v.v[3]), N::from_double(v.v[4]),
                        rng::random_perm(g), 0);
+      if (cfg_.vibrational) {
+        const double sv = cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
+        store_.v0.back() = N::from_double(sv * rng::sample_gaussian(g));
+        store_.v1.back() = N::from_double(sv * rng::sample_gaussian(g));
+      }
       store_.cell.back() = grid_.index(static_cast<int>(x),
                                        static_cast<int>(y),
                                        static_cast<int>(z));

@@ -156,8 +156,9 @@ void check_pins(const char* scheme, const std::uint64_t (&pins)[2]) {
 
 }  // namespace
 
-// Pins recorded before the baselines moved from histogram + scan +
-// radix-sort + per-array gathers to the one-table counting sort.
+// Pins recorded while the baselines still counted cells with a histogram
+// and a scan and the pairwise scheme reordered its store by per-array
+// gathers.
 TEST(BaselinePins, PairwiseScheme) {
   constexpr std::uint64_t kPins[2] = {0xedfdb314f97b2574ull,   // uniform
                                       0x77e6f041107b07e5ull};  // imbalanced

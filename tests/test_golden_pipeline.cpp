@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 #include "core/simulation.h"
 #include "fixedpoint/fixed32.h"
@@ -156,9 +155,8 @@ core::SimConfig tandem_cfg() {
 }
 
 // The wedge on a finer grid at the widest sort-key scale: (cells +
-// reservoir pairing cells) x 256 puts the key space above
-// cmdp::kDirectSortBound, the range older pipelines sorted through a
-// separate two-pass radix path.
+// reservoir pairing cells) x 256 puts the key space above 2^21, the range
+// older pipelines sorted through a separate two-pass radix path.
 core::SimConfig wide_key_cfg() {
   core::SimConfig cfg = wedge_cfg();
   cfg.nx = 128;
@@ -394,7 +392,7 @@ TEST(GoldenPipeline, RepartitionAcrossCheckpointReproducesHashes) {
   EXPECT_GE(sh.post_imbalance, 1.0);
 }
 
-// A key space above kDirectSortBound runs through the same one-table
+// A key space above 2^21 runs through the same one-table
 // counting sort as every other run.  Pinned from the two-pass radix
 // pipeline that used to sort it, at one lane and at four (the diag hash is
 // a lane-summed reduction, so each lane count has its own); re-pinned with
@@ -413,7 +411,10 @@ TEST(GoldenPipeline, WideKeySpaceMatchesRadixPipeline) {
   cmdp::ThreadPool pool(1);
   core::SimulationD sim(wide_key_cfg(), &pool);
   sim.step();
-  EXPECT_GT(sim.sort_counts().size() * 256u, cmdp::kDirectSortBound);
+  // 2^21 was the largest key bound the old pipeline sorted with one
+  // counting sort; the pins above come from its radix path only if this
+  // key space lies beyond it.
+  EXPECT_GT(sim.sort_counts().size() * 256u, 1u << 21);
 }
 
 namespace {

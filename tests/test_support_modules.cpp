@@ -1,4 +1,4 @@
-// Stream compaction, VTK output, checkpoint/restart, steady detection.
+// VTK output, checkpoint/restart, steady detection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 
-#include "cmdp/compact.h"
 #include "core/checkpoint.h"
 #include "core/simulation.h"
 #include "core/steady.h"
@@ -16,46 +15,6 @@
 
 namespace cmdp = cmdsmc::cmdp;
 namespace core = cmdsmc::core;
-
-TEST(Compact, KeepsFlaggedIndicesInOrder) {
-  cmdp::ThreadPool pool(4);
-  const std::size_t n = 100000;
-  std::vector<std::uint8_t> keep(n);
-  cmdsmc::rng::SplitMix64 g(1);
-  for (auto& k : keep) k = g.next_below(3) == 0 ? 1 : 0;
-  std::vector<std::uint32_t> idx;
-  const std::size_t total = cmdp::compact_indices(pool, keep, idx);
-  std::size_t expect = 0;
-  for (auto k : keep)
-    if (k) ++expect;
-  ASSERT_EQ(total, expect);
-  ASSERT_EQ(idx.size(), expect);
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    ASSERT_TRUE(keep[idx[k]]);
-    if (k > 0) {
-      ASSERT_LT(idx[k - 1], idx[k]);
-    }
-  }
-}
-
-TEST(Compact, PacksValues) {
-  cmdp::ThreadPool pool(2);
-  std::vector<double> in = {1.5, 2.5, 3.5, 4.5, 5.5};
-  std::vector<std::uint8_t> keep = {1, 0, 0, 1, 1};
-  std::vector<double> out;
-  EXPECT_EQ(cmdp::compact<double>(pool, in, keep, out), 3u);
-  EXPECT_EQ(out, (std::vector<double>{1.5, 4.5, 5.5}));
-}
-
-TEST(Compact, EmptyAndAllKept) {
-  cmdp::ThreadPool pool(2);
-  std::vector<std::uint8_t> none;
-  std::vector<std::uint32_t> idx;
-  EXPECT_EQ(cmdp::compact_indices(pool, none, idx), 0u);
-  std::vector<std::uint8_t> all(10, 1);
-  EXPECT_EQ(cmdp::compact_indices(pool, all, idx), 10u);
-  EXPECT_EQ(idx[9], 9u);
-}
 
 TEST(Vtk, WritesParsableHeaderAndCounts) {
   core::FieldStats f;

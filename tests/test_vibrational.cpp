@@ -136,3 +136,35 @@ TEST(Vibrational, WorksWithFixedPointEngine) {
   }
   EXPECT_GT(ev, 0.0);
 }
+
+// A plunger-fed wedge tunnel with no reservoir synthesizes every injected
+// particle.  Synthesis draws the vibrational pair like every other particle
+// source, and with exchange off the synthesized particles keep that draw.
+TEST(Vibrational, SynthesizedParticlesCarryVibrationalEnergy) {
+  core::SimConfig cfg;
+  cfg.nx = 40;
+  cfg.ny = 20;
+  cfg.wedge_x0 = 10.0;
+  cfg.wedge_base = 15.0;
+  cfg.reservoir_fraction = 0.0;
+  cfg.vibrational = true;
+  cfg.vib_exchange_prob = 0.0;
+  cfg.seed = 607;
+  cmdp::ThreadPool pool(2);
+  core::SimulationD sim(cfg, &pool);
+  const std::size_t initial = sim.total_count();
+  sim.run(10);
+  ASSERT_GT(sim.counters().synthesized, 20u);
+  const auto& s = sim.particles();
+  double e_new = 0.0;
+  std::size_t n_new = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (s.id[i] < initial) continue;
+    e_new += 0.5 * (s.v0[i] * s.v0[i] + s.v1[i] * s.v1[i]);
+    ++n_new;
+  }
+  EXPECT_EQ(n_new, sim.counters().synthesized);
+  // Mean vibrational energy per particle: sigma^2 * T_vib for the pair.
+  const double want = cfg.sigma * cfg.sigma * cfg.vib_init_temperature;
+  EXPECT_NEAR(e_new / static_cast<double>(n_new), want, 0.3 * want);
+}
