@@ -62,6 +62,20 @@ TEST_P(SortCases, CountingSortMatchesStableReference) {
   EXPECT_EQ(starts, reference_starts(keys, bound));
 }
 
+// The plan/apply entry points, as PairwiseScheme sorts its store.
+TEST_P(SortCases, StableSortMatchesStableReference) {
+  const auto [n, bound] = GetParam();
+  cmdp::ThreadPool pool(6);
+  const auto keys = random_keys(n, bound, 2000 + n);
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
+  std::vector<std::uint32_t> order(n, 0xdeadbeefu);
+  cmdp::apply_sort_plan(pool, keys, plan,
+                        [&](std::size_t src, std::size_t dst) {
+                          order[dst] = static_cast<std::uint32_t>(src);
+                        });
+  EXPECT_EQ(order, reference_order(keys));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, SortCases,
     ::testing::Values(SortCase{0, 16}, SortCase{1, 16}, SortCase{100, 4},
@@ -89,6 +103,32 @@ TEST(Sort, KeysAscendingAfterGather) {
   std::vector<std::uint32_t> sorted(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) sorted[i] = keys[order[i]];
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+}
+
+// The baselines read each cell's count off the sort's starts table as
+// starts[c + 1] - starts[c].
+TEST(Histogram, MatchesDirectCount) {
+  cmdp::ThreadPool pool(5);
+  const std::uint32_t bound = 321;
+  const auto keys = random_keys(98765, bound, 5);
+  std::vector<std::uint32_t> order(keys.size());
+  std::vector<std::uint32_t> starts(bound + 1);
+  cmdp::counting_sort_index(pool, keys, bound, order, starts);
+  std::vector<std::uint32_t> counts(bound);
+  for (std::uint32_t c = 0; c < bound; ++c)
+    counts[c] = starts[c + 1] - starts[c];
+  std::vector<std::uint32_t> ref(bound, 0);
+  for (auto k : keys) ++ref[k];
+  EXPECT_EQ(counts, ref);
+}
+
+TEST(Histogram, EmptyInput) {
+  cmdp::ThreadPool pool(2);
+  std::vector<std::uint32_t> keys;
+  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> starts(11, 99);
+  cmdp::counting_sort_index(pool, keys, 10, order, starts);
+  for (auto s : starts) EXPECT_EQ(s, 0u);
 }
 
 // --- Plan/apply API: the one-table sort the simulation hot loop uses ---

@@ -51,9 +51,10 @@ Real field_value(std::size_t i, int f) {
 std::int64_t raw_of(double v) { return static_cast<std::int64_t>(v); }
 std::int64_t raw_of(Fixed32 v) { return v.raw; }
 
-// Sorts a store with z, the vibrational pair and weights on by near-sorted
-// keys with many duplicates, so every lane moves records, and checks that
-// every array of every record landed at its stable sorted position.
+// Reorders a store with z, the vibrational pair and weights on through
+// scatter_sorted, by near-sorted keys with many duplicates so every lane
+// moves records, and checks that every array of every record landed at its
+// stable sorted position.
 template <class Real>
 void check_scatter_sorted(unsigned threads, std::size_t n) {
   cmdp::ThreadPool pool(threads);
@@ -118,10 +119,10 @@ void check_scatter_sorted(unsigned threads, std::size_t n) {
 
 }  // namespace
 
-TEST(ParticleStore, ScatterSortedMovesEveryArray) {
+TEST(ParticleStore, ReorderAppliesPermutationToEveryArray) {
   check_scatter_sorted<double>(3, 10000);
 }
 
-TEST(ParticleStore, ScatterSortedWorksForFixed32) {
+TEST(ParticleStore, ReorderWorksForFixed32) {
   check_scatter_sorted<Fixed32>(2, 5000);
 }
