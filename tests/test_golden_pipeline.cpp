@@ -70,6 +70,9 @@ std::uint64_t state_hash(const core::Simulation<Real>& sim) {
     h = fnv1a(h, st.cell[i]);
     h = fnv1a(h, st.flags[i]);
     h = fnv1a(h, st.id[i]);
+    // Radial weights exist only in axisymmetric runs; folding them in only
+    // there leaves every planar pin as it was.
+    if (st.has_weight) h = fnv1a(h, bits_of(st.weight[i]));
   }
   const auto& c = sim.counters();
   h = fnv1a(h, c.candidates);
@@ -80,6 +83,10 @@ std::uint64_t state_hash(const core::Simulation<Real>& sim) {
   h = fnv1a(h, c.synthesized);
   h = fnv1a(h, sim.total_count());
   h = fnv1a(h, sim.reservoir_count());
+  if (st.has_weight) {
+    h = fnv1a(h, c.cloned);
+    h = fnv1a(h, c.merged);
+  }
   return h;
 }
 
@@ -165,6 +172,52 @@ core::SimConfig wide_key_cfg() {
   return cfg;
 }
 
+// An axisymmetric sphere (a faceted circle on the r = 0 axis, revolved)
+// with diffuse walls: the rotated move and its own fast-path bound, the
+// weighted surface record, and the split/merge weight balancing.
+core::SimConfig axi_sphere_cfg() {
+  core::SimConfig cfg;
+  cfg.nx = 48;
+  cfg.ny = 24;
+  cfg.has_wedge = false;
+  cfg.axisymmetric = true;
+  cfg.sigma = 0.12;
+  cfg.body = geom::Body::Cylinder(20.0, 0.0, 6.0, 16);
+  cfg.wall = geom::WallModel::kDiffuseIsothermal;
+  cfg.particles_per_cell = 8.0;
+  cfg.lambda_inf = 0.5;
+  cfg.reservoir_fraction = 0.3;
+  cfg.seed = 0x5eed601dULL;
+  return cfg;
+}
+
+// The wedge extruded along z through a 3D duct: the z coordinate on both
+// the fast and the boundary path of the move.
+core::SimConfig duct3d_cfg() {
+  core::SimConfig cfg;
+  cfg.nx = 32;
+  cfg.ny = 16;
+  cfg.nz = 8;
+  cfg.wedge_x0 = 8.0;
+  cfg.wedge_base = 8.0;
+  cfg.wedge_angle_deg = 25.0;
+  cfg.particles_per_cell = 6.0;
+  cfg.lambda_inf = 0.5;
+  cfg.reservoir_fraction = 0.25;
+  cfg.seed = 0x5eed601dULL;
+  return cfg;
+}
+
+// A vibrational gas in the plunger-fed wedge tunnel with no reservoir: the
+// first refills synthesize every particle, later ones also draw particles
+// the sink parked, and every one of those paths draws the vibrational pair.
+core::SimConfig vib_tunnel_cfg() {
+  core::SimConfig cfg = wedge_cfg();
+  cfg.reservoir_fraction = 0.0;
+  cfg.vibrational = true;
+  return cfg;
+}
+
 constexpr unsigned kGoldenThreads = 3;
 constexpr int kWarmSteps = 20;
 constexpr int kAvgSteps = 10;
@@ -175,13 +228,17 @@ struct GoldenTriple {
   std::uint64_t diag;
 };
 
+// `counters`, when given, receives the run's final counters, so a pin can
+// also show which paths its run went through.
 template <class Real>
-GoldenTriple run_case(const core::SimConfig& cfg, unsigned threads) {
+GoldenTriple run_case(const core::SimConfig& cfg, unsigned threads,
+                      core::SimCounters* counters = nullptr) {
   cmdp::ThreadPool pool(threads);
   core::Simulation<Real> sim(cfg, &pool);
   sim.run(kWarmSteps);
   sim.set_sampling(true);
   sim.run(kAvgSteps);
+  if (counters != nullptr) *counters = sim.counters();
   return {state_hash(sim), field_hash(sim.field()), diag_hash(sim)};
 }
 
@@ -256,6 +313,54 @@ TEST(GoldenPipeline, TandemCylindersFixed) {
   check("tandem fixed",
         run_case<fixedpoint::Fixed32>(tandem_cfg(), kGoldenThreads),
         kGolden[5]);
+}
+
+// The move loop's axisymmetric, 3D and vibrational branches, pinned before
+// its planar and axisymmetric boundary paths were merged into one.
+constexpr GoldenTriple kGoldenBranches[4] = {
+    {0xd7fe81801c8807b6ull, 0x9ec9ff93a31581a7ull, 0x6fe5330f1d2c6f36ull},
+    // axi sphere double ^, axi sphere fixed v
+    {0xf0db5cbd36ec8d5aull, 0xa5e45ed8388f5118ull, 0x53e460f3e898f678ull},
+    {0x9cb1a65dca761fefull, 0x92e45acb0451d237ull, 0x781e0d66d799b295ull},
+    // duct3d double ^, vibrational tunnel double v
+    {0xcbc5c0df7d0ea7a5ull, 0x99ccbe3a62341e6eull, 0x9538c76ae2846818ull},
+};
+
+TEST(GoldenPipeline, AxiSphereDouble) {
+  core::SimCounters c;
+  check("axi sphere double",
+        run_case<double>(axi_sphere_cfg(), kGoldenThreads, &c),
+        kGoldenBranches[0]);
+  // Particles leave through the sink and the balancing both splits and
+  // merges.
+  EXPECT_GT(c.removed, 0u);
+  EXPECT_GT(c.cloned, 0u);
+  EXPECT_GT(c.merged, 0u);
+}
+
+TEST(GoldenPipeline, AxiSphereFixed) {
+  check("axi sphere fixed",
+        run_case<fixedpoint::Fixed32>(axi_sphere_cfg(), kGoldenThreads),
+        kGoldenBranches[1]);
+}
+
+TEST(GoldenPipeline, Duct3dDouble) {
+  core::SimCounters c;
+  check("duct3d double", run_case<double>(duct3d_cfg(), kGoldenThreads, &c),
+        kGoldenBranches[2]);
+  EXPECT_GT(c.removed, 0u);
+}
+
+TEST(GoldenPipeline, VibrationalTunnelDouble) {
+  core::SimCounters c;
+  check("vibrational tunnel double",
+        run_case<double>(vib_tunnel_cfg(), kGoldenThreads, &c),
+        kGoldenBranches[3]);
+  // The sink parks particles, refills draw on them, and the reservoir
+  // still runs dry, so synthesis draws too.
+  EXPECT_GT(c.removed, 0u);
+  EXPECT_GT(c.synthesized, 0u);
+  EXPECT_GT(c.injected, c.synthesized);
 }
 
 // Both ways of describing the paper's wedge, the config's wedge fields and
