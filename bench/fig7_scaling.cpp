@@ -178,7 +178,6 @@ int main() {
   // alone, one shard per lane, re-cut every step.
   auto cfg_static = cfg;
   cfg_static.shard_collide_weight = 0.0;
-  cfg_static.shard_adapt = false;
   cfg_static.shard_per_lane = 1;
   cfg_static.shard_rebalance_threshold = 1.0;
   cfg_static.shard_rebalance_interval = 1;
@@ -228,7 +227,7 @@ int main() {
   std::fprintf(f, "  \"notes\": \"speedup/efficiency are vs the 1-thread "
                   "sharded point; static_points rerun the same problem with "
                   "the pre-sharding particle split as a cost-model setting "
-                  "(shard.collide_weight=0 shard.adapt=0 shard.per_lane=1 "
+                  "(shard.collide_weight=0 shard.per_lane=1 "
                   "shard.threshold=1 shard.interval=1); points past "
                   "hardware_threads are oversubscribed and informational "
                   "only\"\n");

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -101,23 +102,32 @@ void throw_bad_choice(const std::string& key, const std::string& value,
   throw ArgError(key + ": '" + value + "' is not one of: " + join(choices));
 }
 
-std::string error_json(const std::string& type, const std::string& message) {
-  std::string out = "{\"error\": {\"type\": \"";
-  const auto escape = [&out](const std::string& s) {
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n' || c == '\r' || c == '\t') {
-        out += ' ';
-        continue;
-      }
-      out += c;
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
     }
-  };
-  escape(type);
-  out += "\", \"message\": \"";
-  escape(message);
-  out += "\"}}";
+  }
   return out;
+}
+
+std::string error_json(const std::string& type, const std::string& message) {
+  return "{\"error\": {\"type\": \"" + json_escape(type) +
+         "\", \"message\": \"" + json_escape(message) + "\"}}";
 }
 
 int error_exit_code(const std::exception& e) {

@@ -52,8 +52,13 @@ bool parse_bool(const std::string& key, const std::string& value);
 
 // --- Machine-readable failure reporting -------------------------------------
 // `cmdsmc run` (and the fleet's failure isolation) promise a non-zero exit
-// plus one parseable error line on any failure.  These two helpers are the
+// plus one parseable error line on any failure.  These helpers are the
 // single definition of that contract.
+
+// `s` escaped for the inside of a JSON string: quotes and backslashes,
+// \n \r \t, and every other byte below 0x20 as \u00XX, so the result is
+// one line with no control byte.  The JSON writers of every layer share it.
+std::string json_escape(const std::string& s);
 
 // One JSON line: {"error": {"type": "<type>", "message": "<message>"}}.
 std::string error_json(const std::string& type, const std::string& message);

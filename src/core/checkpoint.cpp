@@ -11,10 +11,10 @@ namespace cmdsmc::core {
 
 namespace {
 
-// Format v2 (axisymmetric weights + balance counters); v1 files are refused
-// with a bad-magic error rather than misread.
+// Each format change takes a new magic, so an older file is refused with a
+// bad-magic error rather than misread (see checkpoint.h).
 constexpr std::uint64_t kMagic = 0x434d44534d433033ull;   // "CMDSMC03"
-constexpr std::uint64_t kMagicSim = 0x434d44534d433034ull;  // "CMDSMC04"
+constexpr std::uint64_t kMagicSim = 0x434d44534d433035ull;  // "CMDSMC05"
 
 template <class Real>
 constexpr std::uint32_t scalar_tag() {
@@ -175,7 +175,6 @@ void save_checkpoint(const std::string& path, const Simulation<Real>& sim) {
   write_pod(os, st.step);
   write_pod(os, st.plunger_x);
   write_pod(os, st.res_count);
-  write_pod(os, st.res_tail);
   write_pod(os, st.counters.candidates);
   write_pod(os, st.counters.collisions);
   write_pod(os, st.counters.reservoir_collisions);
@@ -220,7 +219,6 @@ void load_checkpoint(const std::string& path, Simulation<Real>& sim) {
   read_pod(is, st.step);
   read_pod(is, st.plunger_x);
   read_pod(is, st.res_count);
-  read_pod(is, st.res_tail);
   read_pod(is, st.counters.candidates);
   read_pod(is, st.counters.collisions);
   read_pod(is, st.counters.reservoir_collisions);

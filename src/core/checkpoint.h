@@ -3,15 +3,15 @@
 // can be reused by several analysis passes.
 //
 // Two levels:
-//  - ParticleStore checkpoints (format CMDSMC01): the raw arrays only.
+//  - ParticleStore checkpoints (format CMDSMC03): the raw arrays only.
 //    Kept for snapshot reuse, but they carry no run state — a restore
 //    resumes at step 0 with zeroed samplers.
-//  - Simulation checkpoints (format CMDSMC02): the store *plus* everything
+//  - Simulation checkpoints (format CMDSMC05): the store *plus* everything
 //    a resumed run needs to reproduce the uninterrupted run exactly — the
 //    step counter (all counter-RNG streams key on it), plunger phase,
-//    reservoir bookkeeping, cumulative counters, and the field/surface
-//    sampler accumulators (so a restore mid-averaging keeps its Cd/Cl/
-//    heat-flux history instead of silently zeroing it).  The file also
+//    reservoir count, cumulative counters, and the field/surface sampler
+//    accumulators (so a restore mid-averaging keeps its Cd/Cl/heat-flux
+//    history instead of silently zeroing it).  The file also
 //    records a geometry/config provenance hash; loading against a
 //    simulation whose grid, scene bodies or boundary mode differ throws
 //    instead of silently mixing incompatible state.

@@ -113,21 +113,19 @@ struct SimConfig {
   // With more than one lane, selection+collision and field sampling
   // parallelize over contiguous cell-block shards assigned to lanes by a
   // greedy cost partitioner (cmdp/shard.h); the per-cell cost is count +
-  // collide_weight * pairs, with collide_weight adapted from the phase
-  // timers when shard_adapt is set.  Repartitioning happens when the
+  // collide_weight * pairs.  Repartitioning happens when the
   // predicted max/mean cost imbalance of the current assignment exceeds
   // shard_rebalance_threshold and at least shard_rebalance_interval steps
   // have passed since the last repartition.  The knobs move only shard
   // boundaries, never physics: state and sampled fields are bit-identical
   // for every setting and lane count.  The pre-sharding particle-balanced
-  // split is one such setting: collide_weight 0 without adaptation (cells
-  // priced by count alone), one shard per lane, threshold 1 and interval 1
-  // (re-cut every step).
+  // split is one such setting: collide_weight 0 (cells priced by count
+  // alone), one shard per lane, threshold 1 and interval 1 (re-cut every
+  // step).
   int shard_per_lane = 4;                   // shards = lanes * this
   double shard_rebalance_threshold = 1.10;  // predicted max/mean trigger
   int shard_rebalance_interval = 8;         // min steps between repartitions
-  double shard_collide_weight = 1.0;        // initial pair-vs-particle blend
-  bool shard_adapt = true;                  // adapt the blend from timers
+  double shard_collide_weight = 1.0;        // pair-vs-particle cost blend
 
   std::uint64_t seed = 0x5eed5eedULL;
 

@@ -112,7 +112,6 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
       sampler_(grid_, open_frac_, cfg_.particles_per_cell, cfg_.sigma,
                cell_volume_) {
   seed_round_ = rng::hash4_seed_round(cfg_.seed);
-  shard_collide_weight_ = cfg_.shard_collide_weight;
   u_inf_ = cfg_.closed_box ? 0.0 : cfg_.freestream_speed();
   n_inf_ = cfg_.particles_per_cell;
   ncells_ = static_cast<std::uint32_t>(grid_.ncells());
@@ -248,11 +247,7 @@ void Simulation<Real>::init_particles() {
     store_.uz[i] = N::from_double(cfg_.sigma * rng::sample_gaussian(g));
     store_.r0[i] = N::from_double(cfg_.sigma * rng::sample_gaussian(g));
     store_.r1[i] = N::from_double(cfg_.sigma * rng::sample_gaussian(g));
-    if (cfg_.vibrational) {
-      const double sv = cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-      store_.v0[i] = N::from_double(sv * rng::sample_gaussian(g));
-      store_.v1[i] = N::from_double(sv * rng::sample_gaussian(g));
-    }
+    if (cfg_.vibrational) draw_vibration(i, g, /*rectangular=*/false);
     store_.perm[i] = rng::random_perm(g);
     store_.flags[i] = 0;
     store_.id[i] = static_cast<std::uint32_t>(i);
@@ -275,18 +270,25 @@ void Simulation<Real>::init_particles() {
     store_.r0[i] = N::from_double(v.v[3]);
     store_.r1[i] = N::from_double(v.v[4]);
     rng::SplitMix64 g(rng::hash4(cfg_.seed, i, 1, kSaltResInit));
-    if (cfg_.vibrational) {
-      const double sv = cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-      store_.v0[i] = N::from_double(rng::sample_rectangular(g, sv));
-      store_.v1[i] = N::from_double(rng::sample_rectangular(g, sv));
-    }
+    if (cfg_.vibrational) draw_vibration(i, g, /*rectangular=*/true);
     store_.perm[i] = rng::random_perm(g);
     store_.flags[i] = ParticleStore<Real>::kReservoirFlag;
     store_.id[i] = static_cast<std::uint32_t>(i);
     store_.cell[i] = reservoir_pair_cell(i);
   });
   res_count_ = n_res;
-  res_tail_ = n_res;
+}
+
+template <class Real>
+void Simulation<Real>::draw_vibration(std::size_t i, rng::SplitMix64& g,
+                                      bool rectangular) {
+  const double sv = cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
+  const auto draw = [&] {
+    return N::from_double(rectangular ? rng::sample_rectangular(g, sv)
+                                      : sv * rng::sample_gaussian(g));
+  };
+  store_.v0[i] = draw();
+  store_.v1[i] = draw();
 }
 
 template <class Real>
@@ -353,9 +355,10 @@ template <class Real>
 void Simulation<Real>::begin_observed_step() {
   obs_counters0_ = counters_;
   obs_wall0_ = surf_.events_total();
+  // The timer snapshots feed the observer only, never the step.
   for (std::size_t p = 0; p < kPhaseCount; ++p)
-    obs_phase0_[p] = timers_.seconds(phase_id_[p]);
-  obs_lane0_ = timers_.lane_seconds_table();
+    obs_phase0_[p] = timers_.seconds(phase_id_[p]);  // determinism-ok: obs
+  obs_lane0_ = timers_.lane_seconds_table();  // determinism-ok: obs
 }
 
 template <class Real>
@@ -432,16 +435,18 @@ void Simulation<Real>::emit_step_stats() {
       pool_->workspace().bytes() +
       sizeof(std::uint32_t) *
           (keys_.capacity() + counts_.capacity() + starts_.capacity());
-  // Timing deltas.
+  // Timing deltas, for the observer only.
   const unsigned lanes = timers_.lanes();
   s.lanes = lanes;
-  const std::vector<double>& lane_now = timers_.lane_seconds_table();
+  const std::vector<double>& lane_now =
+      timers_.lane_seconds_table();  // determinism-ok: obs
   s.lane_seconds.assign(static_cast<std::size_t>(obs::StepStats::kPhases) *
                             lanes,
                         0.0);
   s.step_seconds = 0.0;
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
-    const double dt = timers_.seconds(phase_id_[p]) - obs_phase0_[p];
+    const double dt =
+        timers_.seconds(phase_id_[p]) - obs_phase0_[p];  // determinism-ok: obs
     s.phase_seconds[p] = dt;
     s.step_seconds += dt;
     double lane_max = 0.0;
@@ -503,6 +508,10 @@ template <class Real>
 void Simulation<Real>::phase_move_and_boundaries() {
   const std::size_t n = store_.size();
   keys_.resize(n);
+  // The sort left the reservoir contiguous at the tail of the arrays.  The
+  // particles the sink parks below stay where they are, so the refill draws
+  // only on the tail the step started with.
+  const std::size_t reservoir_tail = res_count_;
   const bool plunger_active =
       !cfg_.closed_box && cfg_.upstream == geom::UpstreamMode::kPlunger;
   // Advance (and possibly withdraw) the plunger.  Particles this step still
@@ -589,6 +598,12 @@ void Simulation<Real>::phase_move_and_boundaries() {
       }
       const Real vx = uxp[i];
       const Real vy = uyp[i];
+      const Real px = xp[i] + vx;
+      // Axisymmetric runs: the new radius and the velocity rotated back into
+      // the plane with it.
+      double rr = 0.0;
+      double ur = 0.0;
+      double ut = 0.0;
       if (axi) {
         // 1) Collisionless motion in 3D off the plane: the particle moves to
         // (y + uy, uz) in the (r, azimuth) cross-section, then the plane is
@@ -601,14 +616,13 @@ void Simulation<Real>::phase_move_and_boundaries() {
         const double uzd = N::to_double(uzp[i]);
         const double ry = N::to_double(yp[i]) + uyd;
         const double rz = uzd;
-        const double rr = std::sqrt(ry * ry + rz * rz);
-        double ur = uyd;
-        double ut = uzd;
+        rr = std::sqrt(ry * ry + rz * rz);
+        ur = uyd;
+        ut = uzd;
         if (rr > 0.0) {
           ur = (uyd * ry + uzd * rz) / rr;
           ut = (uzd * ry - uyd * rz) / rr;
         }
-        const Real px = xp[i] + vx;
         const double bound = axi_disp[interior[c0]];
         if (uxd > -bound && uxd < bound &&
             uyd * uyd + uzd * uzd < bound * bound) {
@@ -626,104 +640,67 @@ void Simulation<Real>::phase_move_and_boundaries() {
           keysp[i] = key_of(i, cell);
           continue;
         }
-        // 2) Boundary conditions on the rotated state.  The floor at r = 0
-        // is unreachable (rr >= 0 by construction); the y_max ceiling is the
-        // outer cylindrical wall and the x boundaries work as in planar
-        // mode.  Reflections happen in the plane, which is exact for a
-        // surface of revolution (its normal has no azimuthal component).
-        geom::ParticleState ps;
-        ps.x = N::to_double(px);
+      } else {
+        const Real lo = disp_lo[interior[c0]];
+        const Real hi = disp_hi[interior[c0]];
+        if (vx > lo && vx < hi && vy > lo && vy < hi &&
+            (!has_z || (uzp[i] > lo && uzp[i] < hi))) {
+          const Real py = yp[i] + vy;
+          xp[i] = px;
+          yp[i] = py;
+          double pz = 0.0;
+          if (has_z) {
+            zp[i] += uzp[i];
+            pz = N::to_double(zp[i]);
+          }
+          // Interior guarantees 0 < pos < n{x,y,z}, so the truncating casts
+          // equal floor and the clamped grid_.index() is unnecessary.
+          const int ix = static_cast<int>(N::to_double(px));
+          const int iy = static_cast<int>(N::to_double(py));
+          const int iz = static_cast<int>(pz);
+          const auto cell = static_cast<std::uint32_t>(
+              (static_cast<std::int64_t>(iz) * gny + iy) * gnx + ix);
+          cellp[i] = cell;
+          if (count_strip && px < one) ++local_strip;
+          keysp[i] = key_of(i, cell);
+          continue;
+        }
+        // 1) Collisionless motion, in place.
+        xp[i] = px;
+        yp[i] += vy;
+        if (has_z) zp[i] += uzp[i];
+      }
+      // 2) Boundary conditions, the one path for every particle that missed
+      // its fast path, on a double-precision working copy.  An axisymmetric
+      // particle hands over its rotated state, which reaches the arrays only
+      // if the particle is kept.  The floor at r = 0 is unreachable there
+      // (rr >= 0 by construction); the y_max ceiling is the outer
+      // cylindrical wall and the x boundaries work as in planar mode.
+      // Reflections happen in the plane, which is exact for a surface of
+      // revolution (its normal has no azimuthal component).
+      geom::ParticleState ps;
+      ps.x = N::to_double(px);
+      ps.ux = N::to_double(vx);
+      if (axi) {
         ps.y = rr;
-        ps.z = 0.0;
-        ps.ux = uxd;
         ps.uy = ur;
         ps.uz = ut;
-        ps.r0 = N::to_double(store_.r0[i]);
-        ps.r1 = N::to_double(store_.r1[i]);
-        const std::uint64_t bbits = need_bc_bits ? bits_for(i, kSaltBc) : 0;
-        wall_events.count = 0;
-        const bool kept = geom::enforce_boundaries(
-            ps, bc, bbits, record_surface ? &wall_events : nullptr);
-        if (record_surface && wall_events.count > 0)
-          surf_.record(tid, wall_events, weightp[i]);
-        if (kept) {
-          xp[i] = N::from_double(ps.x);
-          yp[i] = N::from_double(ps.y);
-          uxp[i] = N::from_double(ps.ux);
-          uyp[i] = N::from_double(ps.uy);
-          uzp[i] = N::from_double(ps.uz);
-          store_.r0[i] = N::from_double(ps.r0);
-          store_.r1[i] = N::from_double(ps.r1);
-          cellp[i] = grid_.index(static_cast<int>(std::floor(ps.x)),
-                                 static_cast<int>(std::floor(ps.y)), 0);
-          if (count_strip && xp[i] < one) ++local_strip;
-        } else {
-          const Velocity5 v = rectangular_freestream(
-              cfg_.sigma, u_inf_, bits_for(i, kSaltRemoveVel));
-          uxp[i] = N::from_double(v.v[0]);
-          uyp[i] = N::from_double(v.v[1]);
-          uzp[i] = N::from_double(v.v[2]);
-          store_.r0[i] = N::from_double(v.v[3]);
-          store_.r1[i] = N::from_double(v.v[4]);
-          if (cfg_.vibrational) {
-            rng::SplitMix64 gv(bits_for(i, kSaltRemoveVel) ^ 0x5151u);
-            const double sv =
-                cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-            store_.v0[i] = N::from_double(rng::sample_rectangular(gv, sv));
-            store_.v1[i] = N::from_double(rng::sample_rectangular(gv, sv));
-          }
-          store_.flags[i] |= ParticleStore<Real>::kReservoirFlag;
-          cellp[i] = reservoir_pair_cell(i);
-          ++local_removed;
-        }
-        keysp[i] = key_of(i, cellp[i]);
-        continue;
+      } else {
+        ps.y = N::to_double(yp[i]);
+        ps.z = has_z ? N::to_double(zp[i]) : 0.0;
+        ps.uy = N::to_double(vy);
+        ps.uz = N::to_double(uzp[i]);
       }
-      const Real lo = disp_lo[interior[c0]];
-      const Real hi = disp_hi[interior[c0]];
-      if (vx > lo && vx < hi && vy > lo && vy < hi &&
-          (!has_z || (uzp[i] > lo && uzp[i] < hi))) {
-        const Real px = xp[i] + vx;
-        const Real py = yp[i] + vy;
-        xp[i] = px;
-        yp[i] = py;
-        double pz = 0.0;
-        if (has_z) {
-          zp[i] += uzp[i];
-          pz = N::to_double(zp[i]);
-        }
-        // Interior guarantees 0 < pos < n{x,y,z}, so the truncating casts
-        // equal floor and the clamped grid_.index() is unnecessary.
-        const int ix = static_cast<int>(N::to_double(px));
-        const int iy = static_cast<int>(N::to_double(py));
-        const int iz = static_cast<int>(pz);
-        const auto cell = static_cast<std::uint32_t>(
-            (static_cast<std::int64_t>(iz) * gny + iy) * gnx + ix);
-        cellp[i] = cell;
-        if (count_strip && px < one) ++local_strip;
-        keysp[i] = key_of(i, cell);
-        continue;
-      }
-      // 1) Collisionless motion.
-      xp[i] += vx;
-      yp[i] += vy;
-      if (has_z) zp[i] += uzp[i];
-      // 2) Boundary conditions (double-precision working copy).
-      geom::ParticleState ps;
-      ps.x = N::to_double(xp[i]);
-      ps.y = N::to_double(yp[i]);
-      ps.z = has_z ? N::to_double(zp[i]) : 0.0;
-      ps.ux = N::to_double(vx);
-      ps.uy = N::to_double(vy);
-      ps.uz = N::to_double(uzp[i]);
       ps.r0 = N::to_double(store_.r0[i]);
       ps.r1 = N::to_double(store_.r1[i]);
+      // Axisymmetric wall events count at the particle's weight; planar ones
+      // at weight 1, which is exact.
       const std::uint64_t bbits = need_bc_bits ? bits_for(i, kSaltBc) : 0;
       wall_events.count = 0;
       const bool kept = geom::enforce_boundaries(
           ps, bc, bbits, record_surface ? &wall_events : nullptr);
       if (record_surface && wall_events.count > 0)
-        surf_.record(tid, wall_events);
+        surf_.record(tid, wall_events, axi ? weightp[i] : 1.0);
       if (kept) {
         xp[i] = N::from_double(ps.x);
         yp[i] = N::from_double(ps.y);
@@ -750,10 +727,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
         store_.r1[i] = N::from_double(v.v[4]);
         if (cfg_.vibrational) {
           rng::SplitMix64 gv(bits_for(i, kSaltRemoveVel) ^ 0x5151u);
-          const double sv =
-              cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-          store_.v0[i] = N::from_double(rng::sample_rectangular(gv, sv));
-          store_.v1[i] = N::from_double(rng::sample_rectangular(gv, sv));
+          draw_vibration(i, gv, /*rectangular=*/true);
         }
         store_.flags[i] |= ParticleStore<Real>::kReservoirFlag;
         cellp[i] = reservoir_pair_cell(i);
@@ -776,18 +750,19 @@ void Simulation<Real>::phase_move_and_boundaries() {
     // trigger-wide void *ahead of the restarted face* (the slab
     // [plunger_.x, plunger_.x + width]) at freestream density.  The region
     // [0, plunger_.x) stays empty — the restarted plunger is sweeping it.
-    if (void_width > 0.0) inject_void(void_width, plunger_.x);
+    if (void_width > 0.0) inject_void(void_width, plunger_.x, reservoir_tail);
   } else {
-    soft_source_topup(static_cast<std::size_t>(strip.load()));
+    soft_source_topup(static_cast<std::size_t>(strip.load()), reservoir_tail);
   }
 }
 
 template <class Real>
-void Simulation<Real>::inject_void(double width, double x_offset) {
+void Simulation<Real>::inject_void(double width, double x_offset,
+                                   std::size_t reservoir_tail) {
   const double volume = width * grid_.ny * (grid_.is3d() ? grid_.nz : 1);
   const auto need = static_cast<std::size_t>(std::llround(n_inf_ * volume));
   const std::size_t n = store_.size();
-  const std::size_t k = need < res_tail_ ? need : res_tail_;
+  const std::size_t k = need < reservoir_tail ? need : reservoir_tail;
   const double ny = grid_.ny;
   const double nz = grid_.is3d() ? grid_.nz : 0.0;
   cmdp::parallel_for(*pool_, k, [&](std::size_t j) {
@@ -813,7 +788,6 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
     // for its new flow cell.
     keys_[i] = sort_key_for(i);
   });
-  res_tail_ -= k;
   res_count_ -= k;
   counters_.injected += k;
   if (need > k) {
@@ -833,11 +807,8 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
                        N::from_double(v.v[1]), N::from_double(v.v[2]),
                        N::from_double(v.v[3]), N::from_double(v.v[4]),
                        rng::random_perm(g), 0);
-      if (cfg_.vibrational) {
-        const double sv = cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-        store_.v0.back() = N::from_double(sv * rng::sample_gaussian(g));
-        store_.v1.back() = N::from_double(sv * rng::sample_gaussian(g));
-      }
+      if (cfg_.vibrational)
+        draw_vibration(store_.size() - 1, g, /*rectangular=*/false);
       store_.cell.back() = grid_.index(static_cast<int>(x),
                                        static_cast<int>(y),
                                        static_cast<int>(z));
@@ -851,7 +822,8 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
 }
 
 template <class Real>
-void Simulation<Real>::soft_source_topup(std::size_t strip_count) {
+void Simulation<Real>::soft_source_topup(std::size_t strip_count,
+                                         std::size_t reservoir_tail) {
   // Keep the first column strip at freestream density (the paper's
   // "strength of this source has to be controlled to maintain a constant
   // freestream density").  The strip census rode along with the move loop;
@@ -865,7 +837,7 @@ void Simulation<Real>::soft_source_topup(std::size_t strip_count) {
     // scaling the width so need == deficit.
     const double volume = grid_.ny * (grid_.is3d() ? grid_.nz : 1);
     const double width = static_cast<double>(deficit) / (n_inf_ * volume);
-    inject_void(width > 1.0 ? 1.0 : width, 0.0);
+    inject_void(width > 1.0 ? 1.0 : width, 0.0, reservoir_tail);
   }
 }
 
@@ -886,16 +858,13 @@ void Simulation<Real>::phase_sort() {
   counts_.resize(pair_cells);
   starts_.resize(pair_cells);
   // Multi-lane runs price every cell for the shard partitioner inside the
-  // sort pass, at the collide weight adapted just before it.
+  // sort pass: its count, plus the configured collide weight per pair.
   const bool price = pool_->size() > 1;
-  if (price) {
-    adapt_collide_weight(n - dead);
-    shard_cost_.resize(pair_cells);
-  }
+  if (price) shard_cost_.resize(pair_cells);
   const bool axi = cfg_.axisymmetric;
   if (axi) cell_weight_.resize(ncells_);
   const bool res_collide = cfg_.reservoir_collisions;
-  const double cw = shard_collide_weight_;
+  const double cw = cfg_.shard_collide_weight;
   std::uint32_t* const countsp = counts_.data();
   std::uint32_t* const startsp = starts_.data();
   double* const costp = shard_cost_.data();
@@ -944,38 +913,7 @@ void Simulation<Real>::phase_sort() {
     store_.resize(n - dead);
     keys_.resize(n - dead);
   }
-  res_tail_ = res_count_;
   update_shards();
-}
-
-template <class Real>
-void Simulation<Real>::adapt_collide_weight(std::size_t particles) {
-  // Adapt the pair-vs-particle cost blend from the aggregate phase timers
-  // (always collected, unlike the per-lane tables): seconds-per-candidate in
-  // the collide phase against seconds-per-particle in move+sort.  The blend
-  // only steers where boundaries land — it cannot perturb physics — so the
-  // nondeterminism of measured seconds is confined to performance.
-  if (!cfg_.shard_adapt) return;
-  adapt_np_ += particles;
-  if (step_ - adapt_last_step_ < cfg_.shard_rebalance_interval) return;
-  const double d_coll =
-      timers_.seconds(phase_id_[kPhaseCollide]) - adapt_collide0_;
-  const double d_other = timers_.seconds(phase_id_[kPhaseMove]) +
-                         timers_.seconds(phase_id_[kPhaseSort]) -
-                         adapt_other0_;
-  const std::uint64_t d_pairs = counters_.candidates - adapt_pairs0_;
-  const std::uint64_t d_np = adapt_np_ - adapt_np0_;
-  if (d_pairs > 1000 && d_np > 1000 && d_coll > 1e-5 && d_other > 1e-5) {
-    double target = (d_coll / static_cast<double>(d_pairs)) /
-                    (d_other / static_cast<double>(d_np));
-    target = target < 0.25 ? 0.25 : (target > 16.0 ? 16.0 : target);
-    shard_collide_weight_ += 0.5 * (target - shard_collide_weight_);
-    adapt_collide0_ += d_coll;
-    adapt_other0_ += d_other;
-    adapt_pairs0_ = counters_.candidates;
-    adapt_np0_ = adapt_np_;
-    adapt_last_step_ = step_;
-  }
 }
 
 template <class Real>
@@ -1443,7 +1381,6 @@ typename Simulation<Real>::ResumeState Simulation<Real>::resume_state()
   st.step = step_;
   st.plunger_x = plunger_.x;
   st.res_count = res_count_;
-  st.res_tail = res_tail_;
   st.counters = counters_;
   st.field_samples = sampler_.samples();
   st.field_sums = sampler_.accumulated();
@@ -1459,7 +1396,7 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
       store.has_weight != cfg_.axisymmetric)
     throw std::invalid_argument(
         "Simulation::restore: store layout does not match the configuration");
-  if (state.res_count > store.size() || state.res_tail > state.res_count)
+  if (state.res_count > store.size())
     throw std::invalid_argument(
         "Simulation::restore: inconsistent reservoir bookkeeping");
   // Validate every accumulator shape before mutating anything, so a throw
@@ -1476,14 +1413,12 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   step_ = state.step;
   plunger_.x = state.plunger_x;
   res_count_ = static_cast<std::size_t>(state.res_count);
-  res_tail_ = static_cast<std::size_t>(state.res_tail);
   counters_ = state.counters;
   // The shard plan is transient too: the first post-restore sort rebuilds
   // it from fresh counts (the assignment carries no physics, so a restore
   // across a different shard/lane configuration reproduces the same bits).
   shard_plan_.clear();
   shard_last_step_ = -1;
-  adapt_last_step_ = -1;
   shard_cost_imbalance_ = 0.0;
   shard_post_imbalance_ = 0.0;
   rebuild_interior_mask();

@@ -149,8 +149,10 @@ class Simulation {
             shard_cost_imbalance_, shard_post_imbalance_};
   }
 
-  // Phase wall-clock seconds (Table A) and their sum.
-  double phase_seconds(Phase p) const { return timers_.seconds(phase_id_[p]); }
+  // Phase wall-clock seconds (Table A) and their sum, for reports only.
+  double phase_seconds(Phase p) const {
+    return timers_.seconds(phase_id_[p]);  // determinism-ok: reporting
+  }
   double total_seconds() const { return timers_.total_seconds(); }
   cmdp::PhaseTimers& timers() { return timers_; }
 
@@ -210,7 +212,6 @@ class Simulation {
     std::int64_t step = 0;
     double plunger_x = 0.0;
     std::uint64_t res_count = 0;
-    std::uint64_t res_tail = 0;
     SimCounters counters;
     int field_samples = 0;
     std::vector<double> field_sums;
@@ -231,11 +232,18 @@ class Simulation {
   using N = physics::Num<Real>;
 
   void init_particles();
+  // Draws particle i's two vibrational DOF from `g` at the initial
+  // vibrational temperature: Gaussian, or rectangular with the same variance
+  // for particles the reservoir's collisions will relax.
+  void draw_vibration(std::size_t i, rng::SplitMix64& g, bool rectangular);
   void phase_move_and_boundaries();
-  void inject_void(double width, double x_offset);
+  // Fills the slab [x_offset, x_offset + width) at freestream density with
+  // reservoir particles taken from the last `reservoir_tail` array slots,
+  // and synthesizes the rest when those run out.
+  void inject_void(double width, double x_offset, std::size_t reservoir_tail);
   // `strip_count` = flow particles in the first column, tallied during the
   // move loop (the standalone O(n) counting pass is gone).
-  void soft_source_topup(std::size_t strip_count);
+  void soft_source_topup(std::size_t strip_count, std::size_t reservoir_tail);
   void phase_sort();
   // Axisymmetric weight balancing (called from phase_sort, before the
   // counting sort): splits particles heavier than twice their cell's target
@@ -248,10 +256,6 @@ class Simulation {
   // phase_sort truncates them) : weight 0 only (debug_rebalance compacts).
   // Returns the merged-away count.
   std::size_t balance_weights(bool mark_dead_keys);
-  // Moves the shard cost model's collide-weight blend toward the measured
-  // ratio of the aggregate phase timers; `particles` is this step's
-  // particle count.  Called just before the sort prices the cells.
-  void adapt_collide_weight(std::size_t particles);
   // Evaluates the shard plan against the per-cell costs the sort just
   // priced and repartitions when the predicted imbalance drifted past the
   // threshold (or the plan is stale).  Called at the end of phase_sort.
@@ -335,8 +339,9 @@ class Simulation {
   std::vector<std::uint32_t> counts_;  // per pairing cell
   std::vector<std::uint32_t> starts_;
 
-  std::size_t res_count_ = 0;  // reservoir particles (anywhere in the array)
-  std::size_t res_tail_ = 0;   // reservoir particles contiguous at the tail
+  // Reservoir particles.  The sort leaves them contiguous at the tail of
+  // the arrays: their pairing cells come after every flow cell.
+  std::size_t res_count_ = 0;
 
   // --- Cell-block sharding state (cmdp/shard.h) ---
   // Rebuilt lazily by update_shards() at the end of phase_sort; transient
@@ -344,19 +349,10 @@ class Simulation {
   // the assignment carries no physics).
   cmdp::ShardPlan shard_plan_;
   std::vector<double> shard_cost_;  // per pairing cell, priced by the sort
-  double shard_collide_weight_ = 1.0;
   std::uint64_t shard_repartitions_ = 0;
   double shard_cost_imbalance_ = 0.0;
   double shard_post_imbalance_ = 0.0;
   std::int64_t shard_last_step_ = -1;
-  // Collide-weight adaptation snapshots (phase seconds / counters at the
-  // last adaptation; np accumulates particle-steps between them).
-  std::int64_t adapt_last_step_ = -1;
-  double adapt_collide0_ = 0.0;
-  double adapt_other0_ = 0.0;
-  std::uint64_t adapt_pairs0_ = 0;
-  std::uint64_t adapt_np_ = 0;
-  std::uint64_t adapt_np0_ = 0;
 
   FieldSampler<Real> sampler_;
   bool sampling_ = false;

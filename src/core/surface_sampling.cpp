@@ -62,12 +62,6 @@ void SurfaceSampler::reset() {
   events_total_ = 0;
 }
 
-void SurfaceSampler::record(unsigned lane, const geom::WallEventBuffer& ev) {
-  // Multiplication by 1.0 is exact for every finite double, so delegating
-  // keeps the planar accumulation bit-identical.
-  record(lane, ev, 1.0);
-}
-
 void SurfaceSampler::record(unsigned lane, const geom::WallEventBuffer& ev,
                             double weight) {
   if (lane >= lanes_) lane = lanes_ - 1;

@@ -98,10 +98,10 @@ class SurfaceSampler {
   void reset();
 
   // Called from worker lane `lane` for one particle's wall events
-  // (WallEvent::segment is the scene-wide flat segment index).  The weighted
-  // overload scales every increment by the particle's statistical weight
-  // (axisymmetric radial weighting).
-  void record(unsigned lane, const geom::WallEventBuffer& events);
+  // (WallEvent::segment is the scene-wide flat segment index).  Every
+  // increment is scaled by the particle's statistical weight (axisymmetric
+  // radial weighting); planar runs pass 1.0, and multiplication by 1.0 is
+  // exact for every finite double, so their sums are the unweighted ones.
   void record(unsigned lane, const geom::WallEventBuffer& events,
               double weight);
 

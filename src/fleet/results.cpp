@@ -14,33 +14,13 @@ namespace cmdsmc::fleet {
 
 namespace {
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_string_field(std::string& out, const char* key,
                          const std::string& value, bool comma = true) {
   if (comma) out += ", ";
   out += '"';
   out += key;
   out += "\": \"";
-  json_escape(out, value);
+  out += cli::json_escape(value);
   out += '"';
 }
 
@@ -248,9 +228,9 @@ std::string JobRecord::to_json_line() const {
   for (std::size_t i = 0; i < params.size(); ++i) {
     if (i > 0) out += ", ";
     out += '"';
-    json_escape(out, params[i].key);
+    out += cli::json_escape(params[i].key);
     out += "\": \"";
-    json_escape(out, params[i].value);
+    out += cli::json_escape(params[i].value);
     out += '"';
   }
   out += '}';
@@ -379,12 +359,12 @@ std::string aggregate_json(const FleetMeta& meta, const FleetSummary& summary,
               return a.index < b.index;
             });
   std::string out = "{\n  \"fleet\": {\"scenario\": \"";
-  json_escape(out, meta.scenario);
+  out += cli::json_escape(meta.scenario);
   out += "\", \"axes\": [";
   for (std::size_t i = 0; i < meta.axis_keys.size(); ++i) {
     if (i > 0) out += ", ";
     out += '"';
-    json_escape(out, meta.axis_keys[i]);
+    out += cli::json_escape(meta.axis_keys[i]);
     out += '"';
   }
   out += "], \"fleet_threads\": " + std::to_string(meta.fleet_threads);

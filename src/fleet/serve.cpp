@@ -14,24 +14,10 @@ namespace cmdsmc::fleet {
 
 namespace {
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-}
-
 std::string reject_line(const std::string& request, const std::string& error) {
-  std::string out = "{\"event\": \"reject\", \"request\": \"";
-  json_escape(out, request);
-  out += "\", \"error\": \"";
-  json_escape(out, error);
-  out += "\"}";
-  return out;
+  return "{\"event\": \"reject\", \"request\": \"" +
+         cli::json_escape(request) + "\", \"error\": \"" +
+         cli::json_escape(error) + "\"}";
 }
 
 std::vector<std::string> split_ws(const std::string& line) {

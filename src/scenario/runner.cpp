@@ -45,13 +45,6 @@ void rectangular_start(core::Simulation<Real>& sim, const core::SimConfig& cfg) 
   }
 }
 
-void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
 }  // namespace
 
 double RunResult::cp_max_of(const core::SurfaceStats& s) {
@@ -236,7 +229,7 @@ std::string JsonSummarySink::to_json(const RunResult& r) {
   std::ostringstream os;
   os.precision(10);
   os << "{\n  \"scenario\": \"";
-  json_escape(os, r.scenario);
+  os << cli::json_escape(r.scenario);
   os << "\",\n  \"precision\": \"" << precision_name(r.precision) << "\",\n";
   os << "  \"grid\": {\"nx\": " << r.config.nx << ", \"ny\": " << r.config.ny
      << ", \"nz\": " << r.config.nz << "},\n";
@@ -305,7 +298,7 @@ std::string JsonSummarySink::to_json(const RunResult& r) {
         const core::SurfaceStats& s = r.surfaces[b];
         os << (b == 0 ? "" : ", ") << "\n      {\"id\": \"body" << b
            << "\", \"name\": \"";
-        json_escape(os, s.body_name);
+        os << cli::json_escape(s.body_name);
         os << "\", \"cd\": " << s.cd << ", \"cl\": " << s.cl
            << ", \"cp_max\": " << RunResult::cp_max_of(s)
            << ", \"heat_total\": " << s.heat_total

@@ -293,10 +293,8 @@ const std::vector<OverrideEntry>& override_table() {
        set_double(&core::SimConfig::shard_rebalance_threshold)},
       {"shard.interval", "min steps between repartitions",
        set_int(&core::SimConfig::shard_rebalance_interval)},
-      {"shard.collide_weight", "initial pair-vs-particle cost blend",
+      {"shard.collide_weight", "pair-vs-particle cost blend",
        set_double(&core::SimConfig::shard_collide_weight)},
-      {"shard.adapt", "adapt the cost blend from the phase timers",
-       set_bool(&core::SimConfig::shard_adapt)},
       {"seed", "RNG seed (decimal or 0x hex)",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.config.seed = cli::parse_uint64(k, v);

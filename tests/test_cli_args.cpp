@@ -82,9 +82,17 @@ TEST(CliArgs, ErrorJsonIsOneEscapedLine) {
   EXPECT_NE(json.find("\"error\""), std::string::npos);
   EXPECT_NE(json.find("\"type\": \"usage\""), std::string::npos);
   EXPECT_NE(json.find("unknown key"), std::string::npos);
-  // Quotes and backslashes are escaped, newlines mapped to spaces.
+  // Quotes and backslashes are escaped.
   const std::string tricky = cli::error_json("runtime", "a \"b\" c:\\d");
   EXPECT_NE(tricky.find("a \\\"b\\\" c:\\\\d"), std::string::npos);
+  // Every control byte is escaped too (a raw one makes the line invalid
+  // JSON): newlines as \n, the rest as \u00XX.
+  const std::string control =
+      cli::error_json("usage", "unknown key 'bad\x01key'\nvalid keys: mach");
+  for (const char c : control)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << control;
+  EXPECT_NE(control.find("bad\\u0001key"), std::string::npos);
+  EXPECT_NE(control.find("'\\nvalid"), std::string::npos);
 }
 
 TEST(CliArgs, ErrorClassificationDrivesExitCodes) {

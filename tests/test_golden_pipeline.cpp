@@ -174,7 +174,8 @@ core::SimConfig wide_key_cfg() {
 
 // An axisymmetric sphere (a faceted circle on the r = 0 axis, revolved)
 // with diffuse walls: the rotated move and its own fast-path bound, the
-// weighted surface record, and the split/merge weight balancing.
+// boundary path on the rotated state, and the split/merge weight
+// balancing.
 core::SimConfig axi_sphere_cfg() {
   core::SimConfig cfg;
   cfg.nx = 48;
@@ -444,7 +445,6 @@ TEST(GoldenPipeline, StateIsThreadCountInvariant) {
 TEST(GoldenPipeline, ShardPlanDoesNotChangeState) {
   core::SimConfig count_split = wedge_cfg();
   count_split.shard_collide_weight = 0.0;
-  count_split.shard_adapt = false;
   count_split.shard_per_lane = 1;
   count_split.shard_rebalance_threshold = 1.0;
   count_split.shard_rebalance_interval = 1;
@@ -458,10 +458,37 @@ TEST(GoldenPipeline, ShardPlanDoesNotChangeState) {
   aggressive.shard_per_lane = 7;
   aggressive.shard_rebalance_threshold = 1.0;  // repartition every chance
   aggressive.shard_rebalance_interval = 1;
-  aggressive.shard_adapt = false;
   const auto b = run_case<double>(aggressive, kGoldenThreads);
   EXPECT_EQ(b.state, kGolden[0].state);
   EXPECT_EQ(b.field, kGolden[0].field);
+}
+
+// The shard plan follows the sort's per-cell counts and nothing else: two
+// runs of one configuration on separate pools cut the same blocks, assign
+// them to the same lanes and repartition at the same steps, whatever their
+// phase clocks read.
+TEST(GoldenPipeline, ShardPlanDependsOnCountsAlone) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  spec.config.particles_per_cell = 4.0;
+  const core::SimConfig cfg = spec.build_config();
+  cmdp::ThreadPool pool_a(4);
+  cmdp::ThreadPool pool_b(4);
+  core::SimulationD a(cfg, &pool_a);
+  core::SimulationD b(cfg, &pool_b);
+  for (int s = 0; s < 300; ++s) {
+    a.step();
+    b.step();
+    ASSERT_EQ(a.shard_plan().bounds, b.shard_plan().bounds) << "step " << s;
+    ASSERT_EQ(a.shard_plan().order, b.shard_plan().order) << "step " << s;
+    const auto sa = a.shard_stats();
+    const auto sb = b.shard_stats();
+    ASSERT_EQ(sa.shards, sb.shards) << "step " << s;
+    ASSERT_EQ(sa.repartitions, sb.repartitions) << "step " << s;
+    ASSERT_EQ(sa.cost_imbalance, sb.cost_imbalance) << "step " << s;
+    ASSERT_EQ(sa.post_imbalance, sb.post_imbalance) << "step " << s;
+  }
+  // The run did repartition after its first plan.
+  EXPECT_GT(a.shard_stats().repartitions, 1u);
 }
 
 // Mid-run repartitioning across a checkpoint: save at step 10, restore into

@@ -190,15 +190,13 @@ TEST(ScenarioOverrides, RejectsUnknownAndMalformedKeys) {
 TEST(ScenarioOverrides, ShardKeysSetTheCostModel) {
   scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
   const std::pair<const char*, const char*> count_split[] = {
-      {"shard.collide_weight", "0"}, {"shard.adapt", "0"},
-      {"shard.per_lane", "1"},       {"shard.threshold", "1"},
-      {"shard.interval", "1"},
+      {"shard.collide_weight", "0"}, {"shard.per_lane", "1"},
+      {"shard.threshold", "1"},      {"shard.interval", "1"},
   };
   for (const auto& [k, v] : count_split)
     scenario::apply_override(spec, k, v);
   const core::SimConfig cfg = spec.build_config();
   EXPECT_DOUBLE_EQ(cfg.shard_collide_weight, 0.0);
-  EXPECT_FALSE(cfg.shard_adapt);
   EXPECT_EQ(cfg.shard_per_lane, 1);
   EXPECT_DOUBLE_EQ(cfg.shard_rebalance_threshold, 1.0);
   EXPECT_EQ(cfg.shard_rebalance_interval, 1);

@@ -48,10 +48,10 @@ TEST(SurfaceSampler, NormalizesSyntheticEventsIntoFluxes) {
   // the gas below moves up INTO the face), i.e. dp·n < 0 and pressure > 0.
   geom::WallEventBuffer ev;
   ev.add(0, 0.3, 1.0, 0.25);
-  sampler.record(0, ev);
+  sampler.record(0, ev, 1.0);
   geom::WallEventBuffer ev2;
   ev2.add(0, 0.1, 1.0, 0.15);
-  sampler.record(1, ev2);
+  sampler.record(1, ev2, 1.0);
   sampler.end_step();
   sampler.end_step();
 
@@ -94,7 +94,7 @@ TEST(SurfaceSampler, SplitsIncidentAndReflectedFluxes) {
   geom::WallEventBuffer ev;
   ev.add(0, 0.0, 1.4, 0.2, /*p_in=*/0.8, /*p_out=*/0.6, /*e_in=*/0.5,
          /*e_out=*/0.3);
-  sampler.record(0, ev);
+  sampler.record(0, ev, 1.0);
   sampler.end_step();
   const core::SurfaceStats s = sampler.finalize(sq, 1.0, 0.2, 1.0);
   const core::SurfaceSegmentStats& seg = s.segments[0];
@@ -116,7 +116,7 @@ TEST(SurfaceSampler, ZeroFreestreamReportsRawFluxesOnly) {
   core::SurfaceSampler sampler(sq.segment_count(), 1, 1.0);
   geom::WallEventBuffer ev;
   ev.add(0, 0.0, 2.0, 0.5);
-  sampler.record(0, ev);
+  sampler.record(0, ev, 1.0);
   sampler.end_step();
   const core::SurfaceStats s = sampler.finalize(sq, 1.0, 0.2, 0.0);
   EXPECT_GT(s.segments[0].p, 0.0);
@@ -129,7 +129,7 @@ TEST(SurfaceCsv, WritesHeaderAndSkipsEmbeddedSegments) {
   core::SurfaceSampler sampler(w.segment_count(), 1, 1.0);
   geom::WallEventBuffer ev;
   ev.add(2, -0.5, 0.9, 0.0);
-  sampler.record(0, ev);
+  sampler.record(0, ev, 1.0);
   sampler.end_step();
   const core::SurfaceStats s = sampler.finalize(w, 1.0, 0.18, 1.0);
   std::ostringstream os;

@@ -19,6 +19,12 @@ This lint enforces the bans that keep that property machine-checked:
     - std::cout / printf / puts: the hot path must stay silent (output
       belongs to io/, obs/ and the scenario sinks; interleaved prints from
       lanes are also nondeterministic)
+  the step itself (src/core, src/physics, src/rng) additionally:
+    - reads of measured time: a phase timer (`.seconds(`,
+      `lane_seconds_table(`) or a std::chrono clock.  Clocks may feed
+      telemetry, never a decision the step takes: state that follows the
+      clock (a cost model, a schedule) differs from run to run even when
+      the physics does not.  The telemetry snapshots carry waivers.
 
 A line can be waived with an inline justification:
 
@@ -64,7 +70,18 @@ HOT_BANS = [
      "hot paths must not write stdout; route output through io/ sinks"),
 ]
 
+# Reads of measured time inside the step.
+CLOCK_BANS = [
+    (re.compile(r"(\.|->)seconds\s*\("),
+     "phase timer read in the step; measured time may feed telemetry only"),
+    (re.compile(r"\blane_seconds_table\s*\("),
+     "per-lane timer read in the step; measured time may feed telemetry only"),
+    (re.compile(r"\b(steady|system|high_resolution)_clock\b"),
+     "clock read in the step; measured time may feed telemetry only"),
+]
+
 HOT_DIRS = ("core", "physics", "cmdp", "rng")
+CLOCK_DIRS = ("core", "physics", "rng")
 WAIVER = "determinism-ok:"
 EXTS = (".h", ".cpp")
 
@@ -76,9 +93,10 @@ def strip_comment_text(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def scan_file(path: str, hot: bool):
+def scan_file(path: str, hot: bool, clocked: bool):
     findings = []
-    bans = GLOBAL_BANS + (HOT_BANS if hot else [])
+    bans = (GLOBAL_BANS + (HOT_BANS if hot else []) +
+            (CLOCK_BANS if clocked else []))
     with open(path, encoding="utf-8", errors="replace") as f:
         for lineno, raw in enumerate(f, 1):
             if WAIVER in raw:
@@ -109,11 +127,12 @@ def main() -> int:
         rel = os.path.relpath(dirpath, src)
         top = rel.split(os.sep, 1)[0]
         hot = top in HOT_DIRS
+        clocked = top in CLOCK_DIRS
         for name in sorted(names):
             if not name.endswith(EXTS):
                 continue
             scanned += 1
-            findings += scan_file(os.path.join(dirpath, name), hot)
+            findings += scan_file(os.path.join(dirpath, name), hot, clocked)
 
     for path, lineno, line, message in findings:
         rel = os.path.relpath(path, args.root)
