@@ -20,14 +20,15 @@ when runners or the pipeline change intentionally (note the new number in
 the PR).  CMDSMC_BENCH_MAX_REGRESS overrides the threshold without a
 workflow edit.
 
---scaling gates the fig7_scaling thread sweep instead: parallel
-efficiency of the sharded pipeline at min(8, hardware_threads) must reach
---min-efficiency (CMDSMC_MIN_EFFICIENCY overrides, default 0.8), and
-wherever the hardware genuinely has the cores (8/16/32), the sharded run
-must not be slower than the static-partition reference — with the
-advantage non-decreasing as the thread count grows.  Points past the
-machine's core count are oversubscribed and informational only; on a
-single-core runner the gate reports and skips.
+--scaling gates the fig7_scaling thread sweep instead: every point's
+predicted partition imbalance (max/mean lane particle count of the
+count-quantile cell blocks, a property of the counts and not of the
+hardware) must stay below 1.10, so a partition stuck on one lane reads
+its lane count and fails; and parallel efficiency at min(8,
+hardware_threads) must reach --min-efficiency (CMDSMC_MIN_EFFICIENCY
+overrides, default 0.8).  Points past the machine's core count are
+oversubscribed and informational only for the efficiency gate; on a
+single-core runner that gate reports and skips.
 """
 
 import argparse
@@ -35,13 +36,14 @@ import json
 import os
 import sys
 
+MAX_PARTITION_IMBALANCE = 1.10
+
 
 def check_scaling(path: str, min_eff: float) -> int:
     with open(path) as f:
         bench = json.load(f)
     hw = int(bench.get("hardware_threads", 0))
     points = {int(p["threads"]): p for p in bench.get("points", [])}
-    statics = {int(p["threads"]): p for p in bench.get("static_points", [])}
     if not points:
         print(f"check_bench: FAIL — {path} has no scaling points")
         return 1
@@ -51,7 +53,16 @@ def check_scaling(path: str, min_eff: float) -> int:
         print(f"check_bench: scaling @ {t:2d} threads: "
               f"eff={p['efficiency']:.3f} speedup={p['speedup']:.2f} "
               f"collide_imb="
-              f"{p['phases']['select_collide']['imbalance']:.2f}{tag}")
+              f"{p['phases']['select_collide']['imbalance']:.2f} "
+              f"partition_imb={p['partition_imbalance']:.4f}{tag}")
+    # The partition gate holds at every point, oversubscribed or not.
+    for t in sorted(points):
+        imb = float(points[t]["partition_imbalance"])
+        if not 1.0 <= imb < MAX_PARTITION_IMBALANCE:
+            print(f"check_bench: FAIL — predicted partition imbalance "
+                  f"{imb:.4f} at {t} threads is outside "
+                  f"[1, {MAX_PARTITION_IMBALANCE:.2f})")
+            return 1
     if hw <= 1:
         print(f"check_bench: SKIP — {hw or 'unknown'} hardware thread(s); "
               f"every multi-thread point is oversubscribed, efficiency "
@@ -59,8 +70,7 @@ def check_scaling(path: str, min_eff: float) -> int:
         return 0
 
     # Gate point: the largest measured thread count that fits the machine,
-    # capped at 8 (the acceptance target; beyond 8 the gate only checks the
-    # sharded-vs-static trend).
+    # capped at 8 (the acceptance target).
     gate_t = max(t for t in points if t <= min(8, hw))
     eff = float(points[gate_t]["efficiency"])
     print(f"check_bench: gate point {gate_t} threads "
@@ -70,26 +80,6 @@ def check_scaling(path: str, min_eff: float) -> int:
               f"{gate_t} threads is below {min_eff:.2f}")
         return 1
 
-    # Sharded vs static: only meaningful where the cores exist.
-    prev_gain = 0.0
-    for t in sorted(statics):
-        if t > hw or t not in points:
-            continue
-        sharded = float(points[t]["wall_seconds"])
-        static = float(statics[t]["wall_seconds"])
-        gain = static / sharded if sharded > 0 else 0.0
-        print(f"check_bench: sharded vs static @ {t} threads: "
-              f"{gain:.3f}x")
-        if gain < 0.95:
-            print(f"check_bench: FAIL — sharded pipeline is slower than "
-                  f"the static partition at {t} threads ({gain:.3f}x)")
-            return 1
-        if gain < prev_gain - 0.05:
-            print(f"check_bench: FAIL — sharding advantage shrank from "
-                  f"{prev_gain:.3f}x to {gain:.3f}x as threads grew; the "
-                  f"rebalancer should matter more at higher lane counts")
-            return 1
-        prev_gain = max(prev_gain, gain)
     print("check_bench: scaling OK")
     return 0
 

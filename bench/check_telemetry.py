@@ -33,10 +33,9 @@ REQUIRED_KEYS = [
     "step", "flow", "reservoir", "total", "weighted_census",
     "candidates", "collisions", "reservoir_collisions", "accept_rate",
     "removed", "injected", "synthesized", "cloned", "merged",
-    "wall_events", "occ", "arena_bytes", "shard", "phase_seconds", "lanes",
-    "imbalance", "cum",
+    "wall_events", "occ", "arena_bytes", "partition_imbalance",
+    "phase_seconds", "lanes", "imbalance", "cum",
 ]
-SHARD_KEYS = ["count", "repartitions", "imbalance", "post_imbalance"]
 # Optional block: present only on audited runs (CMDSMC_AUDIT build + audit=1).
 AUDIT_KEYS = ["checks", "violations"]
 PHASE_KEYS = ["move", "sort", "select_collide", "sample", "step"]
@@ -67,11 +66,14 @@ def check_jsonl(path: str) -> int:
                     print(f"check_telemetry: FAIL — {path}:{lineno}: "
                           f"phase_seconds missing '{k}'")
                     return 1
-            for k in SHARD_KEYS:
-                if k not in rec["shard"]:
-                    print(f"check_telemetry: FAIL — {path}:{lineno}: "
-                          f"shard missing '{k}'")
-                    return 1
+            # Predicted max/mean lane particle count of the step's
+            # partition: 1 on one lane, at most the lane count.
+            imb = rec["partition_imbalance"]
+            if not (isinstance(imb, (int, float)) and
+                    1.0 <= imb <= max(1, rec["lanes"])):
+                print(f"check_telemetry: FAIL — {path}:{lineno}: "
+                      f"partition_imbalance {imb} outside [1, lanes]")
+                return 1
             if "audit" in rec:
                 for k in AUDIT_KEYS:
                     if k not in rec["audit"]:

@@ -9,13 +9,12 @@
 // flow, ~10% less than the total; so does this bench.
 //
 // A second sweep holds the population fixed and scales the machine instead:
-// threads 1..32 through the sharded pipeline, plus a static-partition
-// reference (count-priced, one shard per lane) at 8/16/32 threads.
-// Results land in
-// BENCH_scaling.json — per-phase speedup, measured lane imbalance and the
-// shard gauges per point — which bench/check_bench.py --scaling gates
-// against the committed baseline's parallel efficiency.  The JSON records
-// hardware_threads so the gate can skip oversubscribed points honestly.
+// threads 1..32.  Results land in BENCH_scaling.json — per-phase speedup,
+// measured lane imbalance and the partition's predicted imbalance per
+// point — which bench/check_bench.py --scaling gates: parallel efficiency
+// at min(8, hardware threads), and a predicted imbalance below 1.10 at
+// every point.  The JSON records hardware_threads so the gate can skip
+// oversubscribed points honestly.
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -32,18 +31,24 @@ using namespace cmdsmc;
 using S = core::SimulationD;
 
 // Per-step observer that averages the per-phase lane-imbalance gauge
-// (max-lane / mean-lane busy seconds); attaching it also switches the
+// (max-lane / mean-lane busy seconds) and the partition's predicted one
+// (max-lane / mean-lane particle count); attaching it also switches the
 // simulation's phase timers to per-lane accumulation, which is what we
 // want measured here.
 struct ImbalanceProbe : obs::StepObserver {
   std::array<double, obs::StepStats::kPhases> sum{};
+  double predicted_sum = 0.0;
   std::int64_t n = 0;
   void on_step(const obs::StepStats& s) override {
     for (int p = 0; p < obs::StepStats::kPhases; ++p) sum[p] += s.imbalance[p];
+    predicted_sum += s.cost_imbalance;
     ++n;
   }
   double mean(int p) const {
     return n > 0 ? sum[p] / static_cast<double>(n) : 0.0;
+  }
+  double predicted() const {
+    return n > 0 ? predicted_sum / static_cast<double>(n) : 0.0;
   }
 };
 
@@ -55,7 +60,8 @@ struct Point {
   double phase[3] = {0.0, 0.0, 0.0};
   // Mean measured lane imbalance for the same three phases.
   double imb[3] = {0.0, 0.0, 0.0};
-  S::ShardStats shard;
+  // Mean predicted max/mean lane particle count of the partition.
+  double predicted = 0.0;
   std::size_t total = 0, flow = 0;
 };
 
@@ -86,7 +92,7 @@ Point run_point(core::SimConfig cfg, unsigned threads, int warmup,
   pt.imb[0] = probe.mean(0);
   pt.imb[1] = probe.mean(1);
   pt.imb[2] = probe.mean(3);  // fused select+collide runs under "collide"
-  pt.shard = sim.shard_stats();
+  pt.predicted = probe.predicted();
   return pt;
 }
 
@@ -94,10 +100,9 @@ void print_point(const Point& p, const Point& ref, const char* tag) {
   const double speedup = p.wall_seconds > 0.0
                              ? ref.wall_seconds / p.wall_seconds
                              : 0.0;
-  std::printf("%8u %10.3f %10.3f %8.2fx %8.1f%% %10.2f %12zu  %s\n",
+  std::printf("%8u %10.3f %10.3f %8.2fx %8.1f%% %10.2f %10.4f  %s\n",
               p.threads, p.wall_seconds, p.usec_per, speedup,
-              100.0 * speedup / p.threads, p.imb[2], p.shard.repartitions,
-              tag);
+              100.0 * speedup / p.threads, p.imb[2], p.predicted, tag);
 }
 
 void json_point(std::FILE* f, const Point& p, const Point& ref,
@@ -120,12 +125,7 @@ void json_point(std::FILE* f, const Point& p, const Point& ref,
                  k == 0 ? "" : ", ", keys[k], p.phase[k], psp, p.imb[k]);
   }
   std::fprintf(f, "},\n");
-  std::fprintf(f,
-               "%s \"shard\": {\"count\": %u, \"repartitions\": %llu, "
-               "\"imbalance\": %.4f, \"post_imbalance\": %.4f}}",
-               indent, p.shard.shards,
-               static_cast<unsigned long long>(p.shard.repartitions),
-               p.shard.cost_imbalance, p.shard.post_imbalance);
+  std::fprintf(f, "%s \"partition_imbalance\": %.4f}", indent, p.predicted);
 }
 
 }  // namespace
@@ -174,29 +174,17 @@ int main() {
   // --- Thread-scaling sweep: fixed population, machine grows ---
   const unsigned hw = std::thread::hardware_concurrency();
   const auto cfg = bench::paper_wedge_config(scale, 0.0);
-  // The static reference is a cost-model setting: cells priced by count
-  // alone, one shard per lane, re-cut every step.
-  auto cfg_static = cfg;
-  cfg_static.shard_collide_weight = 0.0;
-  cfg_static.shard_per_lane = 1;
-  cfg_static.shard_rebalance_threshold = 1.0;
-  cfg_static.shard_rebalance_interval = 1;
 
-  std::printf("\nThread scaling: fixed population, sharded pipeline "
-              "(%u hardware threads)\n", hw);
-  std::printf("%8s %10s %10s %9s %9s %10s %12s\n", "threads", "wall[s]",
-              "usec/p/s", "speedup", "eff", "coll imb", "repartitions");
+  std::printf("\nThread scaling: fixed population (%u hardware threads)\n",
+              hw);
+  std::printf("%8s %10s %10s %9s %9s %10s %10s\n", "threads", "wall[s]",
+              "usec/p/s", "speedup", "eff", "coll imb", "predicted");
 
   std::vector<Point> points;
   for (unsigned t : {1u, 2u, 4u, 8u, 16u, 32u}) {
     points.push_back(run_point(cfg, t, warmup, measured));
     print_point(points.back(), points.front(),
                 t > hw ? "(oversubscribed)" : "");
-  }
-  std::vector<Point> static_points;
-  for (unsigned t : {8u, 16u, 32u}) {
-    static_points.push_back(run_point(cfg_static, t, warmup, measured));
-    print_point(static_points.back(), points.front(), "static partition");
   }
 
   std::FILE* f = std::fopen("BENCH_scaling.json", "w");
@@ -218,19 +206,11 @@ int main() {
     std::fprintf(f, "%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"static_points\": [\n");
-  for (std::size_t i = 0; i < static_points.size(); ++i) {
-    json_point(f, static_points[i], points.front(), "    ");
-    std::fprintf(f, "%s\n", i + 1 < static_points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"notes\": \"speedup/efficiency are vs the 1-thread "
-                  "sharded point; static_points rerun the same problem with "
-                  "the pre-sharding particle split as a cost-model setting "
-                  "(shard.collide_weight=0 shard.per_lane=1 "
-                  "shard.threshold=1 shard.interval=1); points past "
-                  "hardware_threads are oversubscribed and informational "
-                  "only\"\n");
+                  "point; partition_imbalance is the count-quantile "
+                  "partition's predicted max/mean lane particle count; "
+                  "points past hardware_threads are oversubscribed and "
+                  "informational only\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote BENCH_scaling.json\n");

@@ -9,8 +9,8 @@ const char* family_name(Family f) {
   switch (f) {
     case Family::kSort:
       return "sort";
-    case Family::kShard:
-      return "shard";
+    case Family::kPartition:
+      return "partition";
     case Family::kConservation:
       return "conservation";
     case Family::kHygiene:
@@ -94,109 +94,72 @@ void check_sort_runs(std::span<const std::uint32_t> cell,
   }
 }
 
-void check_shard_plan(const cmdp::ShardPlan& plan, std::uint32_t pair_cells,
-                      double reported_imbalance, double tol, std::int64_t step,
-                      std::vector<Violation>& out) {
-  const std::size_t nshards = plan.count();
-  if (nshards == 0) return;  // inactive plan: nothing to cover
+void check_partition(std::span<const std::uint32_t> cuts,
+                     std::span<const std::uint32_t> starts, std::size_t n,
+                     double reported_imbalance, double tol, std::int64_t step,
+                     std::vector<Violation>& out) {
   const std::size_t out0 = out.size();
   auto fail = [&](std::int64_t where, std::string detail) {
-    out.push_back({Family::kShard, step, "shard", where, std::move(detail)});
+    out.push_back(
+        {Family::kPartition, step, "partition", where, std::move(detail)});
   };
-  // Exact disjoint cover of [0, pair_cells).
-  if (plan.bounds.front() != 0)
-    fail(0, "bounds[0] = " + std::to_string(plan.bounds.front()) +
-                " (must be 0: shards must cover the cell range from the "
+  const std::size_t cells = starts.size();
+  if (cuts.size() < 2) {
+    fail(-1, "partition holds " + std::to_string(cuts.size()) +
+                 " cuts (needs lanes + 1 >= 2)");
+    return;
+  }
+  const std::size_t lanes = cuts.size() - 1;
+  // Exact cover of [0, cells) by ascending blocks.
+  if (cuts.front() != 0)
+    fail(0, "cuts[0] = " + std::to_string(cuts.front()) +
+                " (must be 0: the blocks must cover the cells from the "
                 "start)");
-  if (plan.bounds.back() != pair_cells)
-    fail(static_cast<std::int64_t>(nshards),
-         "bounds[last] = " + std::to_string(plan.bounds.back()) +
-             " != pair_cells = " + std::to_string(pair_cells));
-  for (std::size_t s = 0; s + 1 < plan.bounds.size(); ++s) {
-    if (plan.bounds[s] > plan.bounds[s + 1]) {
-      fail(static_cast<std::int64_t>(s),
-           "bounds[" + std::to_string(s) + "] = " +
-               std::to_string(plan.bounds[s]) + " > bounds[" +
-               std::to_string(s + 1) + "] = " +
-               std::to_string(plan.bounds[s + 1]) +
-               ": shards overlap or run backwards");
+  if (cuts.back() != cells)
+    fail(static_cast<std::int64_t>(lanes),
+         "cuts[lanes] = " + std::to_string(cuts.back()) +
+             " != pair cells = " + std::to_string(cells));
+  for (std::size_t t = 0; t < lanes; ++t) {
+    if (cuts[t] > cuts[t + 1]) {
+      fail(static_cast<std::int64_t>(t),
+           "cuts[" + std::to_string(t) + "] = " + std::to_string(cuts[t]) +
+               " > cuts[" + std::to_string(t + 1) + "] = " +
+               std::to_string(cuts[t + 1]) + ": blocks overlap");
       break;
     }
   }
-  // order must be a permutation of the shard ids.
-  if (plan.order.size() != nshards) {
-    fail(-1, "order holds " + std::to_string(plan.order.size()) + " of " +
-                 std::to_string(nshards) + " shard ids");
-  } else {
-    std::vector<std::uint8_t> seen(nshards, 0);
-    for (const std::uint32_t s : plan.order) {
-      if (s >= nshards || seen[s]) {
-        fail(static_cast<std::int64_t>(s),
-             "order is not a permutation of the shard ids (duplicate or "
-             "out-of-range id " +
-                 std::to_string(s) + ")");
-        break;
-      }
-      seen[s] = 1;
+  if (out.size() != out0) return;  // the checks below need a sound cover
+  // Cut t is the first cell whose start reaches the quantile t * n / lanes.
+  for (std::size_t t = 1; t < lanes; ++t) {
+    const std::size_t target = t * n / lanes;
+    const std::uint32_t c = cuts[t];
+    const bool reaches = c == cells || starts[c] >= target;
+    const bool first = c == 0 || starts[c - 1] < target;
+    if (!reaches || !first) {
+      fail(static_cast<std::int64_t>(t),
+           "cut " + std::to_string(t) + " = cell " + std::to_string(c) +
+               " is not the first cell starting at or past the count "
+               "quantile " +
+               std::to_string(target));
+      return;
     }
   }
-  // lane_begin partitions order; per-lane lists stay strictly ascending
-  // (the builder's locality contract).
-  if (plan.lane_begin.size() != plan.lanes + 1) {
-    fail(-1, "lane_begin holds " + std::to_string(plan.lane_begin.size()) +
-                 " offsets for " + std::to_string(plan.lanes) + " lanes");
-  } else if (plan.lane_begin.front() != 0 ||
-             plan.lane_begin.back() != plan.order.size()) {
-    fail(-1, "lane_begin does not span order: [" +
-                 std::to_string(plan.lane_begin.front()) + ", " +
-                 std::to_string(plan.lane_begin.back()) + ") vs " +
-                 std::to_string(plan.order.size()));
-  } else {
-    for (unsigned t = 0; t < plan.lanes; ++t) {
-      if (plan.lane_begin[t] > plan.lane_begin[t + 1]) {
-        fail(t, "lane_begin runs backwards at lane " + std::to_string(t));
-        break;
-      }
-      for (std::uint32_t k = plan.lane_begin[t];
-           k + 1 < plan.lane_begin[t + 1]; ++k) {
-        if (plan.order[k] >= plan.order[k + 1]) {
-          fail(t, "lane " + std::to_string(t) +
-                      " shard list not ascending: order[" +
-                      std::to_string(k) + "] = " +
-                      std::to_string(plan.order[k]) + " >= order[" +
-                      std::to_string(k + 1) + "] = " +
-                      std::to_string(plan.order[k + 1]));
-          t = plan.lanes - 1;  // one report is enough
-          break;
-        }
-      }
-    }
+  if (std::isnan(reported_imbalance)) return;
+  std::size_t busiest = 0;
+  for (std::size_t t = 0; t < lanes; ++t) {
+    const std::size_t b = cuts[t] < cells ? starts[cuts[t]] : n;
+    const std::size_t e = cuts[t + 1] < cells ? starts[cuts[t + 1]] : n;
+    busiest = std::max(busiest, e - b);
   }
-  // Reported imbalance must match the value recomputed from shard_cost +
-  // the lane assignment (NaN skips: caller has no fresh gauge).  Pointless
-  // once the structure itself is broken.
-  if (out.size() != out0) return;
-  if (!std::isnan(reported_imbalance) &&
-      plan.shard_cost.size() == nshards && plan.lanes > 0) {
-    std::vector<double> load(plan.lanes, 0.0);
-    for (unsigned t = 0; t < plan.lanes; ++t)
-      for (std::uint32_t k = plan.lane_begin[t]; k < plan.lane_begin[t + 1];
-           ++k)
-        load[t] += plan.shard_cost[plan.order[k]];
-    double max_load = 0.0;
-    double sum = 0.0;
-    for (const double l : load) {
-      max_load = std::max(max_load, l);
-      sum += l;
-    }
-    const double recomputed =
-        sum > 0.0 ? max_load * plan.lanes / sum : 1.0;
-    const double drift = std::abs(recomputed - reported_imbalance);
-    if (drift > tol * std::max(1.0, std::abs(recomputed)))
-      fail(-1, "reported imbalance " + std::to_string(reported_imbalance) +
-                   " does not match the recomputed " +
-                   std::to_string(recomputed));
-  }
+  const double recomputed =
+      n > 0 ? static_cast<double>(busiest) * static_cast<double>(lanes) /
+                  static_cast<double>(n)
+            : 1.0;
+  if (std::abs(recomputed - reported_imbalance) >
+      tol * std::max(1.0, recomputed))
+    fail(-1, "reported imbalance " + std::to_string(reported_imbalance) +
+                 " does not match the recomputed " +
+                 std::to_string(recomputed));
 }
 
 void CellMoments::resize(std::size_t ncells) {

@@ -1,10 +1,10 @@
 // In-situ invariant audit: the machine-checked form of the correctness
-// arguments PRs 3-8 made by hand (golden hashes, thread/shard invariance,
+// arguments PRs 3-8 made by hand (golden hashes, thread-count invariance,
 // exact split/merge conservation).
 //
 // Layered in two pieces:
 //  - This header + audit.cpp: pure check functions over plain data (spans,
-//    a ShardPlan, a ParticleStore).  Always compiled, no Simulation
+//    a ParticleStore).  Always compiled, no Simulation
 //    dependency, unit-testable against deliberately corrupted inputs.
 //  - auditor.h: the Auditor<Real> that snapshots Simulation state at the
 //    step-phase hooks and calls these checks.  The hooks themselves are
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "cmdp/shard.h"
 #include "core/particles.h"
 #include "geom/grid.h"
 #include "geom/scene.h"
@@ -43,7 +42,7 @@ inline constexpr bool kAuditCompiled = false;
 // Invariant families, one counter slot each (telemetry reports the totals).
 enum class Family : int {
   kSort = 0,      // counting-sort plan is a bijection onto the cell runs
-  kShard,         // shard plan: disjoint exact cover, sane lane assignment
+  kPartition,     // lane cuts: ascending exact cover at count quantiles
   kConservation,  // particle ledger + per-cell / global moment conservation
   kHygiene,       // NaN/Inf scans, in-domain, not-inside-solid
   kCheckpoint,    // save -> restore -> rehash round trip
@@ -56,7 +55,7 @@ struct Violation {
   Family family = Family::kSort;
   std::int64_t step = -1;  // step being audited (-1: outside a step)
   std::string phase;       // hook site, e.g. "sort", "collide", "ledger"
-  std::int64_t cell = -1;  // offending cell/shard index; -1 when global
+  std::int64_t cell = -1;  // offending cell/lane index; -1 when global
   std::string detail;      // human-readable specifics (values, bounds)
 };
 
@@ -120,16 +119,16 @@ void check_sort_runs(std::span<const std::uint32_t> cell,
                      std::span<const std::uint32_t> starts, std::int64_t step,
                      std::vector<Violation>& out);
 
-// --- Shard-plan structural audit ----------------------------------------
-// bounds must cover [0, pair_cells) exactly and monotonically; order must
-// be a permutation of the shard ids; lane_begin must partition order with
-// each lane's shard list strictly ascending (the builder's locality
-// contract); and the imbalance the plan reports must match the value
-// recomputed from shard_cost + the lane assignment (pass NaN as
-// `reported_imbalance` to skip that comparison).
-void check_shard_plan(const cmdp::ShardPlan& plan, std::uint32_t pair_cells,
-                      double reported_imbalance, double tol, std::int64_t step,
-                      std::vector<Violation>& out);
+// --- Partition audit ----------------------------------------------------
+// The step's lane cuts over the sort's per-cell `starts` (n particles in
+// starts.size() pairing cells) must ascend from 0 to starts.size(), each
+// cut t must be the first cell whose start reaches t * n / lanes, and the
+// imbalance the step reports must match the max/mean lane particle count
+// recomputed here (pass NaN as `reported_imbalance` to skip that).
+void check_partition(std::span<const std::uint32_t> cuts,
+                     std::span<const std::uint32_t> starts, std::size_t n,
+                     double reported_imbalance, double tol, std::int64_t step,
+                     std::vector<Violation>& out);
 
 // --- Conservation: per-cell weighted moments ------------------------------
 // Weighted mass / momentum / energy sums per real grid cell over the flow

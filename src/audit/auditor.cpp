@@ -77,14 +77,10 @@ void Auditor<Real>::after_sort(const core::Simulation<Real>& sim) {
                   step, fresh);
   settle(Family::kSort, 1, fresh);
 
-  const cmdp::ShardPlan& plan = sim.shard_plan();
-  if (plan.active()) {
-    const std::uint32_t pair_cells =
-        plan.bounds.empty() ? 0 : plan.bounds.back();
-    check_shard_plan(plan, pair_cells, sim.shard_stats().cost_imbalance,
-                     1e-6, step, fresh);
-    settle(Family::kShard, 1, fresh);
-  }
+  check_partition(sim.partition(), sim.sort_starts(),
+                  sim.particles().size(), sim.partition_imbalance(), 1e-6,
+                  step, fresh);
+  settle(Family::kPartition, 1, fresh);
 
   accumulate_cell_moments(sim.particles(),
                           static_cast<std::uint32_t>(sim.grid().ncells()),

@@ -9,7 +9,7 @@
 //                  per-cell weighted-moment snapshot the sort audit diffs
 //                  against — cells are final here and phase_sort must
 //                  conserve every cell's moments op-by-op
-//   after_sort     sort-run bijection check, shard-plan structural audit,
+//   after_sort     sort-run bijection check, partition cut audit,
 //                  per-cell conservation across split/merge/scatter, and the
 //                  global flow-moment snapshot for the collide drift check
 //   after_collide  momentum/energy drift of the collide phase (skipped for

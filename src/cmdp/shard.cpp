@@ -86,27 +86,4 @@ ShardPlan build_shard_plan(const std::vector<double>& cost, unsigned nshards,
   return plan;
 }
 
-double shard_plan_imbalance(ShardPlan& plan, const std::vector<double>& cost) {
-  if (!plan.active()) return 1.0;
-  const std::size_t nshards = plan.count();
-  plan.shard_cost.assign(nshards, 0.0);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    double acc = 0.0;
-    for (std::uint32_t c = plan.bounds[s]; c < plan.bounds[s + 1]; ++c)
-      acc += cost[c];
-    plan.shard_cost[s] = acc;
-  }
-  std::vector<double> load(plan.lanes, 0.0);
-  for (unsigned t = 0; t < plan.lanes; ++t)
-    for (std::uint32_t k = plan.lane_begin[t]; k < plan.lane_begin[t + 1]; ++k)
-      load[t] += plan.shard_cost[plan.order[k]];
-  double max_load = 0.0;
-  double sum = 0.0;
-  for (const double l : load) {
-    max_load = l > max_load ? l : max_load;
-    sum += l;
-  }
-  return sum > 0.0 ? max_load * plan.lanes / sum : 1.0;
-}
-
 }  // namespace cmdsmc::cmdp

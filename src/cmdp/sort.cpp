@@ -109,12 +109,39 @@ SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
                             std::uint32_t key_bound) {
   const SortPlan plan = lay_out_sort(pool, keys, key_bound, 1);
-  for_each_sort_lane(pool, plan, [&](unsigned t) {
+  for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
     count_key_range(keys, plan.cuts[t], plan.cuts[t + 1],
                     plan.key_starts.data());
   });
   plan.key_starts[key_bound] = static_cast<std::uint32_t>(plan.n);
   return plan;
+}
+
+void count_quantile_cuts(std::span<const std::uint32_t> starts, std::size_t n,
+                         std::span<std::uint32_t> cuts) {
+  const std::size_t lanes = cuts.size() - 1;
+  cuts[0] = 0;
+  cuts[lanes] = static_cast<std::uint32_t>(starts.size());
+  for (std::size_t t = 1; t < lanes; ++t) {
+    const auto target = static_cast<std::uint32_t>(t * n / lanes);
+    cuts[t] = static_cast<std::uint32_t>(
+        std::lower_bound(starts.begin(), starts.end(), target) -
+        starts.begin());
+  }
+}
+
+double cut_imbalance(std::span<const std::uint32_t> starts, std::size_t n,
+                     std::span<const std::uint32_t> cuts) {
+  if (n == 0 || cuts.size() < 2) return 1.0;
+  const std::size_t lanes = cuts.size() - 1;
+  auto start = [&](std::uint32_t c) {
+    return c < starts.size() ? std::size_t{starts[c]} : n;
+  };
+  std::size_t busiest = 0;
+  for (std::size_t t = 0; t < lanes; ++t)
+    busiest = std::max(busiest, start(cuts[t + 1]) - start(cuts[t]));
+  return static_cast<double>(busiest) * static_cast<double>(lanes) /
+         static_cast<double>(n);
 }
 
 void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,

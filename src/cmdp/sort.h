@@ -106,11 +106,11 @@ struct SortPlan {
 SortPlan lay_out_sort(ThreadPool& pool, std::span<const std::uint32_t> keys,
                       std::uint32_t key_bound, std::uint32_t align);
 
-// fn(t) for every lane of the plan: inline for one lane, else in one pass
-// of the pool.
+// fn(t) for every lane t < lanes: inline for one lane, else in one pass of
+// the pool (lanes is 1 or pool.size()).
 template <class Fn>
-void for_each_sort_lane(ThreadPool& pool, const SortPlan& plan, Fn&& fn) {
-  if (plan.lanes == 1)
+void for_each_sort_lane(ThreadPool& pool, unsigned lanes, Fn&& fn) {
+  if (lanes == 1)
     fn(0u);
   else
     pool.parallel(fn);
@@ -126,11 +126,24 @@ SortPlan counting_sort_plan(ThreadPool& pool,
 template <class MoveFn>
 void apply_sort_plan(ThreadPool& pool, std::span<const std::uint32_t> keys,
                      const SortPlan& plan, MoveFn&& move) {
-  for_each_sort_lane(pool, plan, [&](unsigned t) {
+  for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
     scatter_key_range(keys, plan.cuts[t], plan.cuts[t + 1],
                       plan.key_starts.data(), move);
   });
 }
+
+// The cells of a sorted array cut into cuts.size() - 1 lane blocks at
+// particle-count quantiles: lane t owns cells [cuts[t], cuts[t + 1]), and
+// cuts[t] is the first cell whose start reaches t * n / lanes (a cell never
+// splits).  `starts` is the sort's per-cell first position, so each cut is
+// one binary search; n is the sorted count and cuts[lanes] = starts.size().
+void count_quantile_cuts(std::span<const std::uint32_t> starts, std::size_t n,
+                         std::span<std::uint32_t> cuts);
+
+// Max / mean lane particle count of such cuts: 1 when they balance exactly
+// (or there are no particles), the lane count when one lane holds them all.
+double cut_imbalance(std::span<const std::uint32_t> starts, std::size_t n,
+                     std::span<const std::uint32_t> cuts);
 
 // Stable counting sort.  Fills `order` (size == keys.size()) such that
 // keys[order[0]] <= keys[order[1]] <= ... with equal keys in input order,

@@ -44,10 +44,6 @@ class PhaseTimers : public LaneTimeSink {
 
   double seconds(std::size_t id) const { return seconds_[id]; }
   double total_seconds() const;
-  const std::vector<std::string>& names() const { return names_; }
-
-  // Percentage of total time per phase, in registration order.
-  std::vector<double> percentages() const;
 
   void reset();
 

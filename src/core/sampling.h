@@ -10,10 +10,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "cmdp/shard.h"
+#include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 #include "core/particles.h"
 #include "geom/grid.h"
@@ -64,16 +65,15 @@ class FieldSampler {
 
   // Accumulates one sample over the sorted runs: cell c's particles occupy
   // [starts[c], starts[c] + counts[c]) (the sort phase's per-pairing-cell
-  // tables; the reservoir pseudo-cells past the grid carry no field).  Each
-  // cell belongs to exactly one lane — its shard's owner under `plan`, or
-  // the calling thread when the plan is inactive — and its moments add into
-  // sums_ in ascending index order, so the sums are bit-identical for every
-  // lane count and every shard assignment.  `weights` (when non-null)
-  // scales every moment by the particle's statistical weight — the
-  // axisymmetric radial weighting.
+  // tables; the reservoir pseudo-cells past the grid carry no field).  Lane
+  // t samples cells [cuts[t], cuts[t + 1]) (cuts.size() - 1 is 1 or the
+  // pool's lane count), and each cell's moments add into sums_ in ascending
+  // index order, so the sums are bit-identical for every lane count and
+  // every set of cuts.  `weights` (when non-null) scales every moment by
+  // the particle's statistical weight — the axisymmetric radial weighting.
   void accumulate(cmdp::ThreadPool& pool, const ParticleStore<Real>& store,
                   const std::uint32_t* counts, const std::uint32_t* starts,
-                  const cmdp::ShardPlan& plan,
+                  std::span<const std::uint32_t> cuts,
                   const double* weights = nullptr) {
     using N = physics::Num<Real>;
     const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
@@ -113,7 +113,8 @@ class FieldSampler {
         }
       }
     };
-    cmdp::parallel_shards(pool, plan, ncells, run);
+    cmdp::for_each_sort_lane(pool, static_cast<unsigned>(cuts.size() - 1),
+                             [&](unsigned t) { run(cuts[t], cuts[t + 1]); });
     ++samples_;
   }
 

@@ -377,12 +377,7 @@ void Simulation<Real>::emit_step_stats() {
   } else {
     s.weighted_census = static_cast<double>(s.flow);
   }
-  // Sharding gauges (zeros while sharding is inactive).
-  const ShardStats sh = shard_stats();
-  s.shards = sh.shards;
-  s.repartitions = sh.repartitions;
-  s.cost_imbalance = sh.cost_imbalance;
-  s.post_imbalance = sh.post_imbalance;
+  s.cost_imbalance = partition_imbalance();
   s.candidates = counters_.candidates - obs_counters0_.candidates;
   s.collisions = counters_.collisions - obs_counters0_.collisions;
   s.reservoir_collisions =
@@ -857,23 +852,16 @@ void Simulation<Real>::phase_sort() {
   const std::uint32_t pair_cells = ncells_ + res_cells_;
   counts_.resize(pair_cells);
   starts_.resize(pair_cells);
-  // Multi-lane runs price every cell for the shard partitioner inside the
-  // sort pass: its count, plus the configured collide weight per pair.
-  const bool price = pool_->size() > 1;
-  if (price) shard_cost_.resize(pair_cells);
   const bool axi = cfg_.axisymmetric;
   if (axi) cell_weight_.resize(ncells_);
-  const bool res_collide = cfg_.reservoir_collisions;
-  const double cw = cfg_.shard_collide_weight;
   std::uint32_t* const countsp = counts_.data();
   std::uint32_t* const startsp = starts_.data();
-  double* const costp = shard_cost_.data();
   const auto mover = store_.mover_into(scratch_);
   const double* const sorted_weight = axi ? scratch_.weight.data() : nullptr;
   const cmdp::SortPlan plan =
       cmdp::lay_out_sort(*pool_, keys_, sort_key_bound(), scale);
   std::uint32_t* const ks = plan.key_starts.data();
-  cmdp::for_each_sort_lane(*pool_, plan, [&](unsigned t) {
+  cmdp::for_each_sort_lane(*pool_, plan.lanes, [&](unsigned t) {
     // The cuts fall on multiples of sort_scale, so the lane owning keys
     // [lo, hi) owns the whole cells [lo / scale, hi / scale): the key of
     // cell c lies in [c*scale, (c+1)*scale), and the cell's start and count
@@ -888,11 +876,6 @@ void Simulation<Real>::phase_sort() {
       const std::uint32_t next = (c + 1) * scale;
       startsp[c] = ks[c * scale];
       countsp[c] = (next < hi ? ks[next] : end) - startsp[c];
-      if (price) {
-        const auto cnt = static_cast<double>(countsp[c]);
-        const bool collides = countsp[c] >= 2 && (c < ncells || res_collide);
-        costp[c] = cnt + (collides ? cw * (cnt * 0.5) : 0.0);
-      }
     }
     cmdp::scatter_key_range(keys_, lo, hi, ks, mover);
     // Axisymmetric: the weighted census of the lane's flow cells, summed in
@@ -913,32 +896,11 @@ void Simulation<Real>::phase_sort() {
     store_.resize(n - dead);
     keys_.resize(n - dead);
   }
-  update_shards();
-}
-
-template <class Real>
-void Simulation<Real>::update_shards() {
-  const unsigned lanes = pool_->size();
-  if (lanes <= 1) {
-    shard_plan_.clear();
-    return;
-  }
-  const std::uint32_t pair_cells = ncells_ + res_cells_;
-  const unsigned nshards =
-      lanes * static_cast<unsigned>(cfg_.shard_per_lane);
-  const bool stale = !shard_plan_.active() || shard_plan_.lanes != lanes ||
-                     shard_plan_.bounds.back() != pair_cells;
-  if (!stale) {
-    shard_cost_imbalance_ = cmdp::shard_plan_imbalance(shard_plan_, shard_cost_);
-    if (shard_cost_imbalance_ <= cfg_.shard_rebalance_threshold ||
-        step_ - shard_last_step_ < cfg_.shard_rebalance_interval)
-      return;
-  }
-  shard_plan_ = cmdp::build_shard_plan(shard_cost_, nshards, lanes);
-  ++shard_repartitions_;
-  shard_last_step_ = step_;
-  shard_post_imbalance_ = shard_plan_.imbalance;
-  shard_cost_imbalance_ = shard_plan_.imbalance;
+  // The step's partition: one block of pairing cells per pool lane, cut
+  // where the sorted array crosses each particle-count quantile.  Collide
+  // and sample walk these blocks; nothing of them outlives the step.
+  cuts_.resize(pool_->size() + std::size_t{1});
+  cmdp::count_quantile_cuts(starts_, store_.size(), cuts_);
 }
 
 template <class Real>
@@ -1152,7 +1114,6 @@ void Simulation<Real>::debug_rebalance() {
 
 template <class Real>
 void Simulation<Real>::phase_select_and_collide() {
-  const std::uint32_t pair_cells = ncells_ + res_cells_;
   // counts_/starts_ came from the sort phase's key table — no histogram or
   // scan over the particles here.  Selection and collision are one fused
   // per-cell traversal: candidate pairs are the (s, s+1), (s+2, s+3), ...
@@ -1327,11 +1288,12 @@ void Simulation<Real>::phase_select_and_collide() {
     collided.fetch_add(local_coll, std::memory_order_relaxed);
     res_collided.fetch_add(local_res, std::memory_order_relaxed);
   };
-  // Each lane walks the contiguous cell blocks the cost partitioner assigned
-  // to it.  Per-cell work is disjoint and every RNG stream is keyed by
-  // particle index and step, so any assignment (and any repartition) is
+  // Lane t walks its partition block.  Per-cell work is disjoint and every
+  // RNG stream is keyed by particle index and step, so any cuts are
   // bit-identical to a serial walk.
-  cmdp::parallel_shards(*pool_, shard_plan_, pair_cells, run_cells);
+  cmdp::for_each_sort_lane(*pool_, pool_->size(), [&](unsigned t) {
+    run_cells(cuts_[t], cuts_[t + 1]);
+  });
   counters_.candidates += candidates.load();
   counters_.collisions += collided.load();
   counters_.reservoir_collisions += res_collided.load();
@@ -1339,8 +1301,7 @@ void Simulation<Real>::phase_select_and_collide() {
 
 template <class Real>
 void Simulation<Real>::phase_sample() {
-  sampler_.accumulate(*pool_, store_, counts_.data(), starts_.data(),
-                      shard_plan_,
+  sampler_.accumulate(*pool_, store_, counts_.data(), starts_.data(), cuts_,
                       cfg_.axisymmetric ? store_.weight.data() : nullptr);
 }
 
@@ -1414,13 +1375,6 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   plunger_.x = state.plunger_x;
   res_count_ = static_cast<std::size_t>(state.res_count);
   counters_ = state.counters;
-  // The shard plan is transient too: the first post-restore sort rebuilds
-  // it from fresh counts (the assignment carries no physics, so a restore
-  // across a different shard/lane configuration reproduces the same bits).
-  shard_plan_.clear();
-  shard_last_step_ = -1;
-  shard_cost_imbalance_ = 0.0;
-  shard_post_imbalance_ = 0.0;
   rebuild_interior_mask();
 }
 
@@ -1439,19 +1393,6 @@ double Simulation<Real>::total_energy() const {
       e += 0.5 * (q0 * q0 + q1 * q1);
     }
     return e;
-  });
-}
-
-template <class Real>
-double Simulation<Real>::flow_energy() const {
-  return cmdp::parallel_sum<double>(*pool_, store_.size(), [&](std::size_t i) {
-    if (store_.flags[i] & ParticleStore<Real>::kReservoirFlag) return 0.0;
-    const double vx = N::to_double(store_.ux[i]);
-    const double vy = N::to_double(store_.uy[i]);
-    const double vz = N::to_double(store_.uz[i]);
-    const double w0 = N::to_double(store_.r0[i]);
-    const double w1 = N::to_double(store_.r1[i]);
-    return 0.5 * (vx * vx + vy * vy + vz * vz + w0 * w0 + w1 * w1);
   });
 }
 

@@ -22,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "cmdp/shard.h"
+#include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 #include "cmdp/timers.h"
 #include "core/config.h"
@@ -109,10 +109,6 @@ class Simulation {
   // Every body of the run (empty when it has none): cfg.body first, then
   // cfg.bodies, or else the wedge from the config's wedge fields.
   const geom::Scene& scene() const { return scene_; }
-  // First scene body (legacy single-body accessor).
-  const geom::Body* body() const {
-    return scene_.empty() ? nullptr : &scene_.body(0);
-  }
   const std::vector<double>& open_fraction() const { return open_frac_; }
   // Per-cell volumes in axisymmetric runs (annulus 2*iy + 1, in units of
   // pi); empty for planar runs (unit cells).  Also the per-particle target
@@ -122,7 +118,6 @@ class Simulation {
   const std::vector<std::uint8_t>& interior_mask() const {
     return interior_mask_;
   }
-  const physics::SelectionRule& selection_rule() const { return rule_; }
   ParticleStore<Real>& particles() { return store_; }
   const ParticleStore<Real>& particles() const { return store_; }
   std::size_t total_count() const { return store_.size(); }
@@ -130,24 +125,6 @@ class Simulation {
   std::size_t flow_count() const { return store_.size() - res_count_; }
   std::int64_t step_index() const { return step_; }
   const SimCounters& counters() const { return counters_; }
-  double plunger_x() const { return plunger_.x; }
-
-  // Cell-block sharding summary (zeros while sharding is inactive: single
-  // lane, or no step executed yet).  cost_imbalance is the predicted
-  // max/mean lane cost of the assignment the last step executed under;
-  // post_imbalance is the same gauge right after the most recent
-  // repartition — the pair shows the balancer working (drift pushes
-  // cost_imbalance up, a repartition snaps it back to ~post_imbalance).
-  struct ShardStats {
-    unsigned shards = 0;
-    std::uint64_t repartitions = 0;  // cumulative plan rebuilds
-    double cost_imbalance = 0.0;
-    double post_imbalance = 0.0;
-  };
-  ShardStats shard_stats() const {
-    return {static_cast<unsigned>(shard_plan_.count()), shard_repartitions_,
-            shard_cost_imbalance_, shard_post_imbalance_};
-  }
 
   // Phase wall-clock seconds (Table A) and their sum, for reports only.
   double phase_seconds(Phase p) const {
@@ -176,20 +153,25 @@ class Simulation {
   void set_auditor(audit::Auditor<Real>* auditor) { auditor_ = auditor; }
   audit::Auditor<Real>* auditor() const { return auditor_; }
 
-  // Read-only views of the sort phase's per-pairing-cell tables and the
-  // executing shard plan, for the audit layer (valid after the first step;
-  // the collide phase reads but never rewrites them).
+  // Read-only views of the sort phase's per-pairing-cell tables and of the
+  // step's partition, for the audit layer (valid after the first step; the
+  // collide and sample phases read but never rewrite them).  Lane t of the
+  // pool collides and samples pairing cells [partition()[t],
+  // partition()[t + 1]), cut at particle-count quantiles of the sorted
+  // array (cmdp::count_quantile_cuts).
   const std::vector<std::uint32_t>& sort_counts() const { return counts_; }
   const std::vector<std::uint32_t>& sort_starts() const { return starts_; }
-  const cmdp::ShardPlan& shard_plan() const { return shard_plan_; }
+  const std::vector<std::uint32_t>& partition() const { return cuts_; }
+  // Predicted max/mean lane particle count of partition() (1 on one lane).
+  double partition_imbalance() const {
+    return cmdp::cut_imbalance(starts_, store_.size(), cuts_);
+  }
 
   // --- Conservation diagnostics (flow + reservoir, double precision) ---
   // Total kinetic + rotational energy per unit mass: sum 0.5 (u^2 + r^2).
   double total_energy() const;
   // Total momentum per unit mass.
   std::array<double, 3> total_momentum() const;
-  // Same restricted to flow particles.
-  double flow_energy() const;
   // Weighted moments of the flow (axisymmetric runs; weights are 1 in
   // planar runs): sum of w, w*v and w*(0.5 |v|^2 + e_int) over flow
   // particles — the quantities the weight-balancing pass conserves exactly.
@@ -256,10 +238,6 @@ class Simulation {
   // phase_sort truncates them) : weight 0 only (debug_rebalance compacts).
   // Returns the merged-away count.
   std::size_t balance_weights(bool mark_dead_keys);
-  // Evaluates the shard plan against the per-cell costs the sort just
-  // priced and repartitions when the predicted imbalance drifted past the
-  // threshold (or the plan is stale).  Called at the end of phase_sort.
-  void update_shards();
   // One fused traversal: candidate pairing + acceptance + collision.  Pairs
   // are disjoint, so fusing is bit-identical to the historical two-pass
   // select-then-collide while skipping the accept-flag round trip.
@@ -338,21 +316,11 @@ class Simulation {
   std::vector<std::uint32_t> keys_;
   std::vector<std::uint32_t> counts_;  // per pairing cell
   std::vector<std::uint32_t> starts_;
+  std::vector<std::uint32_t> cuts_;  // pool lanes + 1, see partition()
 
   // Reservoir particles.  The sort leaves them contiguous at the tail of
   // the arrays: their pairing cells come after every flow cell.
   std::size_t res_count_ = 0;
-
-  // --- Cell-block sharding state (cmdp/shard.h) ---
-  // Rebuilt lazily by update_shards() at the end of phase_sort; transient
-  // (never checkpointed — a resumed run rebuilds it on its first step, and
-  // the assignment carries no physics).
-  cmdp::ShardPlan shard_plan_;
-  std::vector<double> shard_cost_;  // per pairing cell, priced by the sort
-  std::uint64_t shard_repartitions_ = 0;
-  double shard_cost_imbalance_ = 0.0;
-  double shard_post_imbalance_ = 0.0;
-  std::int64_t shard_last_step_ = -1;
 
   FieldSampler<Real> sampler_;
   bool sampling_ = false;

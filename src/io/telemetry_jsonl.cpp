@@ -52,10 +52,7 @@ void telemetry_json_line(const obs::StepStats& s, std::string& out) {
   append(out, ",\"occ\":{\"min\":%u,\"max\":%u,\"mean\":%.6g}", s.occ_min,
          s.occ_max, s.occ_mean);
   append(out, ",\"arena_bytes\":%zu", s.arena_bytes);
-  append(out,
-         ",\"shard\":{\"count\":%u,\"repartitions\":%" PRIu64
-         ",\"imbalance\":%.4g,\"post_imbalance\":%.4g}",
-         s.shards, s.repartitions, s.cost_imbalance, s.post_imbalance);
+  append(out, ",\"partition_imbalance\":%.6g", s.cost_imbalance);
   if (s.audit_active)
     append(out, ",\"audit\":{\"checks\":%" PRIu64 ",\"violations\":%" PRIu64
                 "}",

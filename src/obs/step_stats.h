@@ -3,9 +3,9 @@
 //
 // The paper's headline result is a per-run wall-clock phase breakdown; this
 // struct is the per-step refinement of it — phase seconds, per-lane busy
-// seconds and a load-imbalance gauge (the direct input a future
-// repartitioner needs), plus the particle census, collision statistics and
-// the per-cell occupancy spread the sort plan already computes and used to
+// seconds and a measured load-imbalance gauge next to the partition's
+// predicted one, plus the particle census, collision statistics and the
+// per-cell occupancy spread the sort plan already computes and used to
 // throw away.
 //
 // Deliberately free of core/ includes: counters arrive as plain integers so
@@ -75,18 +75,15 @@ struct StepStats {
   // simulation's sort key/order/table buffers).
   std::size_t arena_bytes = 0;
 
-  // --- Cell-block sharding (zeros while sharding is inactive: disabled,
-  // or a single-lane pool) ---
-  unsigned shards = 0;              // shard count of the executing plan
-  std::uint64_t repartitions = 0;   // cumulative shard-plan rebuilds
-  // Predicted max-lane / mean-lane cost (blended per-cell cost model) of
-  // the assignment this step executed under, and the same gauge evaluated
-  // right after the most recent repartition.  Together with the measured
-  // per-phase `imbalance` below, the pair shows the balancer working:
-  // drift pushes cost_imbalance above post_imbalance until a repartition
-  // snaps it back.
+  // --- Partition ---
+  // Predicted max-lane / mean-lane particle count of the count-quantile
+  // cell blocks this step collided and sampled over the pool's lanes
+  // (Simulation::partition(); exactly 1 on one lane).  The measured
+  // per-phase `imbalance` below is its clock-side counterpart.
   double cost_imbalance = 0.0;
-  double post_imbalance = 0.0;
+  // Always 0: read only by the benchmark suite, until the benchmark change
+  // deletes it.
+  std::uint64_t repartitions = 0;
 
   // --- Invariant audit (zeros unless an auditor is attached, which
   // requires a -DCMDSMC_AUDIT=1 build + audit=1 at runtime) ---

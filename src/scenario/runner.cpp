@@ -276,11 +276,8 @@ std::string JsonSummarySink::to_json(const RunResult& r) {
      << ", \"select_collide\": " << 100.0 * r.select_collide_seconds() / tot
      << ", \"sample\": " << 100.0 * r.phase_seconds[4] / tot
      << "},\n    \"paper_share\": {\"move\": 14, \"sort\": 27, "
-        "\"select\": 20, \"collide\": 39},\n    \"shards\": " << r.shards
-     << ", \"repartitions\": " << r.repartitions
-     << ", \"imbalance\": " << r.imbalance
-     << ", \"post_repartition_imbalance\": "
-     << r.post_repartition_imbalance << "},\n";
+        "\"select\": 20, \"collide\": 39},\n    \"imbalance\": "
+     << r.imbalance << "},\n";
   os << "  \"audit\": {\"enabled\": " << (r.audit_enabled ? "true" : "false")
      << ", \"checks\": " << r.audit_checks
      << ", \"violations\": " << r.audit_violations << "}";
@@ -406,7 +403,7 @@ RunResult Runner::run_impl(cmdp::ThreadPool* pool) {
   }
 
   // Warmup: fixed length, or adaptive via windowed means of the flow
-  // population and flow energy (both must settle).
+  // population and the weighted flow energy (both must settle).
   if (spec_.schedule.auto_steady) {
     core::SteadyDetector count_det(50, 0.01, 3);
     core::SteadyDetector energy_det(10, 0.01, 3);
@@ -417,7 +414,7 @@ RunResult Runner::run_impl(cmdp::ThreadPool* pool) {
       const bool count_ok =
           count_det.push(static_cast<double>(sim.flow_count()));
       // The energy sum is O(N); sample it every 10 steps.
-      if (steps % 10 == 0) energy_det.push(sim.flow_energy());
+      if (steps % 10 == 0) energy_det.push(sim.flow_weighted_energy());
       if (count_ok && energy_det.steady()) {
         result.steady_detected = true;
         break;
@@ -450,11 +447,7 @@ RunResult Runner::run_impl(cmdp::ThreadPool* pool) {
                           sim.phase_seconds(Sim::kPhaseCollide),
                           sim.phase_seconds(Sim::kPhaseSample)};
   result.total_seconds = sim.total_seconds();
-  const auto shard_stats = sim.shard_stats();
-  result.shards = shard_stats.shards;
-  result.repartitions = shard_stats.repartitions;
-  result.imbalance = shard_stats.cost_imbalance;
-  result.post_repartition_imbalance = shard_stats.post_imbalance;
+  result.imbalance = sim.partition_imbalance();
   result.total_steps = result.steady_steps + result.avg_steps;
   if (result.total_steps > 0 && result.total_count > 0)
     result.usec_per_particle_step =

@@ -57,14 +57,9 @@ struct RunResult {
   std::int64_t total_steps = 0;
   double usec_per_particle_step = 0.0;
 
-  // Cell-block sharding summary at end of run (zeros when sharding was
-  // inactive): shard count, cumulative repartitions, and the predicted
-  // cost-imbalance pair (current assignment / right after the last
-  // repartition).
-  unsigned shards = 0;
-  std::uint64_t repartitions = 0;
+  // Predicted max/mean lane particle count of the last step's partition
+  // (Simulation::partition_imbalance(); 1 on one lane).
   double imbalance = 0.0;
-  double post_repartition_imbalance = 0.0;
 
   // Invariant audit summary (audit=1 runs only; zeros otherwise).  A
   // completed fatal-mode run always reads violations == 0 — the first

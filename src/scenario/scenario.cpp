@@ -286,15 +286,6 @@ const std::vector<OverrideEntry>& override_table() {
        }},
       {"reservoir_collisions", "collide reservoir particles",
        set_bool(&core::SimConfig::reservoir_collisions)},
-      // --- Cell-block sharding / load balancing ---
-      {"shard.per_lane", "shards per lane (shards = lanes * this)",
-       set_int(&core::SimConfig::shard_per_lane)},
-      {"shard.threshold", "predicted max/mean imbalance repartition trigger",
-       set_double(&core::SimConfig::shard_rebalance_threshold)},
-      {"shard.interval", "min steps between repartitions",
-       set_int(&core::SimConfig::shard_rebalance_interval)},
-      {"shard.collide_weight", "pair-vs-particle cost blend",
-       set_double(&core::SimConfig::shard_collide_weight)},
       {"seed", "RNG seed (decimal or 0x hex)",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.config.seed = cli::parse_uint64(k, v);

@@ -17,7 +17,7 @@
 
 #include "audit/audit.h"
 #include "audit/auditor.h"
-#include "cmdp/shard.h"
+#include "cmdp/sort.h"
 #include "core/checkpoint.h"
 #include "core/simulation.h"
 
@@ -70,14 +70,22 @@ struct SortFixture {
   }
 };
 
-// Four shards on two lanes over 16 pairing cells, costs descending so the
-// greedy assignment is non-trivial.
-cmdp::ShardPlan two_lane_plan() {
-  std::vector<double> cost(16);
-  for (std::size_t c = 0; c < cost.size(); ++c)
-    cost[c] = static_cast<double>(cost.size() - c);
-  return cmdp::build_shard_plan(cost, 4, 2);
-}
+// 54 particles in 16 pairing cells of uneven occupancy, cut for four lanes
+// at count quantiles the way the step cuts them: {0, 4, 9, 11, 16}, lanes
+// of 14, 16, 11 and 13 particles.
+struct PartitionFixture : SortFixture {
+  std::vector<std::uint32_t> cuts = std::vector<std::uint32_t>(5);
+  PartitionFixture()
+      : SortFixture({9, 1, 0, 4, 7, 2, 2, 0, 5, 3, 8, 1, 0, 6, 2, 4}) {
+    cmdp::count_quantile_cuts(starts, cell.size(), cuts);
+  }
+  double imbalance() const {
+    return cmdp::cut_imbalance(starts, cell.size(), cuts);
+  }
+  void check(double reported, std::vector<audit::Violation>& out) const {
+    audit::check_partition(cuts, starts, cell.size(), reported, 1e-6, 0, out);
+  }
+};
 
 template <class Real>
 core::ParticleStore<Real> tiny_store(std::size_t n, bool weighted = false) {
@@ -144,63 +152,56 @@ TEST(AuditSort, FiresOnLostParticle) {
   EXPECT_FALSE(out.empty());
 }
 
-// --- Shard-plan structural audit --------------------------------------------
+// --- Partition audit -------------------------------------------------------
 
 TEST(AuditShard, CleanPlanPasses) {
-  cmdp::ShardPlan plan = two_lane_plan();
-  ASSERT_TRUE(plan.active());
+  const PartitionFixture f;
+  ASSERT_EQ(f.cuts, (std::vector<std::uint32_t>{0, 4, 9, 11, 16}));
+  EXPECT_DOUBLE_EQ(f.imbalance(), 16.0 * 4 / 54);
   std::vector<audit::Violation> out;
-  audit::check_shard_plan(plan, 16, plan.imbalance, 1e-6, 0, out);
+  f.check(f.imbalance(), out);
+  EXPECT_TRUE(out.empty()) << audit::format_violation(out.front());
+  // One lane owns every cell and is balanced by definition.
+  const std::vector<std::uint32_t> one = {0, 16};
+  audit::check_partition(one, f.starts, f.cell.size(), 1.0, 1e-6, 0, out);
   EXPECT_TRUE(out.empty()) << audit::format_violation(out.front());
 }
 
 TEST(AuditShard, FiresOnOverlappingBounds) {
-  cmdp::ShardPlan plan = two_lane_plan();
-  plan.bounds[1] = plan.bounds[2] + 1;  // shard 1 starts before it ends
+  PartitionFixture f;
+  f.cuts[1] = f.cuts[2] + 1;  // lane 1 starts after it ends
   std::vector<audit::Violation> out;
-  audit::check_shard_plan(plan, 16, std::nan(""), 1e-6, 0, out);
+  f.check(std::nan(""), out);
   ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out.front().family, audit::Family::kShard);
+  EXPECT_EQ(out.front().family, audit::Family::kPartition);
 }
 
 TEST(AuditShard, FiresOnCoverageGap) {
-  cmdp::ShardPlan plan = two_lane_plan();
-  plan.bounds.back() = 15;  // last pairing cell no longer covered
+  PartitionFixture f;
+  f.cuts.back() = 15;  // last pairing cell no longer covered
   std::vector<audit::Violation> out;
-  audit::check_shard_plan(plan, 16, std::nan(""), 1e-6, 0, out);
+  f.check(std::nan(""), out);
   EXPECT_FALSE(out.empty());
 }
 
-TEST(AuditShard, FiresOnDuplicateShardInOrder) {
-  cmdp::ShardPlan plan = two_lane_plan();
-  plan.order[0] = plan.order[1];  // no longer a permutation
-  std::vector<audit::Violation> out;
-  audit::check_shard_plan(plan, 16, std::nan(""), 1e-6, 0, out);
-  EXPECT_FALSE(out.empty());
-}
-
-TEST(AuditShard, FiresOnNonAscendingLaneList) {
-  cmdp::ShardPlan plan = two_lane_plan();
-  // Find a lane owning >= 2 shards and reverse its list.
-  bool corrupted = false;
-  for (unsigned t = 0; t < plan.lanes && !corrupted; ++t) {
-    const std::uint32_t b = plan.lane_begin[t];
-    const std::uint32_t e = plan.lane_begin[t + 1];
-    if (e - b >= 2) {
-      std::swap(plan.order[b], plan.order[e - 1]);
-      corrupted = true;
-    }
+TEST(AuditShard, FiresOnCutOffItsQuantile) {
+  // Both cuts still ascend and cover the cells, but neither is the first
+  // cell starting at or past its quantile (27 of 54): cell 8 starts at 25,
+  // and cell 10's predecessor already starts at 30.
+  for (const std::uint32_t moved : {8u, 10u}) {
+    PartitionFixture f;
+    f.cuts[2] = moved;
+    std::vector<audit::Violation> out;
+    f.check(std::nan(""), out);
+    ASSERT_EQ(out.size(), 1u) << "cut moved to cell " << moved;
+    EXPECT_EQ(out.front().cell, 2);
   }
-  ASSERT_TRUE(corrupted);
-  std::vector<audit::Violation> out;
-  audit::check_shard_plan(plan, 16, std::nan(""), 1e-6, 0, out);
-  EXPECT_FALSE(out.empty());
 }
 
 TEST(AuditShard, FiresOnMisreportedImbalance) {
-  cmdp::ShardPlan plan = two_lane_plan();
+  const PartitionFixture f;
   std::vector<audit::Violation> out;
-  audit::check_shard_plan(plan, 16, plan.imbalance + 0.5, 1e-6, 0, out);
+  f.check(f.imbalance() + 0.5, out);
   EXPECT_FALSE(out.empty());
 }
 
@@ -379,10 +380,11 @@ TEST(AuditedRun, WedgeRunIsCleanAndBitIdentical) {
   EXPECT_TRUE(auditor.violations().empty())
       << audit::format_violation(auditor.violations().front());
   EXPECT_GT(auditor.counters().total_checks(), 0u);
-  // Every family but kShard must have been exercised (sharding stays
-  // inactive on a run this small).
+  // Every family must have been exercised: each audited step checks the
+  // sort runs, the partition cuts, conservation and hygiene.
   using F = audit::Family;
-  for (F f : {F::kSort, F::kConservation, F::kHygiene, F::kCheckpoint})
+  for (F f : {F::kSort, F::kPartition, F::kConservation, F::kHygiene,
+              F::kCheckpoint})
     EXPECT_GT(auditor.counters().checks[static_cast<int>(f)], 0u)
         << audit::family_name(f);
   // Observation must not perturb the physics by a single bit.

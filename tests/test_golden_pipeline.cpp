@@ -91,7 +91,8 @@ std::uint64_t state_hash(const core::Simulation<Real>& sim) {
 }
 
 // Hash over the finalized time-averaged fields.  The sampler accumulates
-// per cell in array order, so this hash is thread- and shard-invariant too.
+// per cell in array order, so this hash is thread- and partition-invariant
+// too.
 std::uint64_t field_hash(const core::FieldStats& f) {
   std::uint64_t h = 1469598103934665603ull;
   h = fnv1a(h, static_cast<std::uint64_t>(f.samples));
@@ -414,9 +415,9 @@ TEST(GoldenPipeline, TelemetryOnMatchesGolden) {
 // The particle state (sorted order, counters, every state bit) must not
 // depend on the thread count: the sort is stable and deterministic per lane
 // partition, all counters are integers, and no RNG draw depends on a lane
-// id.  Since the sharding PR the sampled fields accumulate per cell in
-// array order, so their hash is thread-invariant too — the 16- and 32-lane
-// legs exercise shard counts well past the pinned 3.
+// id.  The sampled fields accumulate per cell in array order, so their
+// hash is thread-invariant too — the 16- and 32-lane legs cut the cells
+// into far more blocks than the pinned 3.
 // (The diag hash stays lane-summed parallel_reduce doubles and legitimately
 // changes association with the thread count; it is pinned at kGoldenThreads
 // only.)
@@ -438,35 +439,9 @@ TEST(GoldenPipeline, StateIsThreadCountInvariant) {
   EXPECT_EQ(e.field, f.field);
 }
 
-// The shard partitioner only decides which lane executes a cell block, so
-// no setting of its knobs may move a single state or field bit: neither the
-// pre-sharding particle-balanced split (cells priced by count alone, one
-// shard per lane, re-cut every step) nor a fine, always-repartitioning plan.
-TEST(GoldenPipeline, ShardPlanDoesNotChangeState) {
-  core::SimConfig count_split = wedge_cfg();
-  count_split.shard_collide_weight = 0.0;
-  count_split.shard_per_lane = 1;
-  count_split.shard_rebalance_threshold = 1.0;
-  count_split.shard_rebalance_interval = 1;
-  const auto a = run_case<double>(count_split, kGoldenThreads);
-  EXPECT_EQ(a.state, kGolden[0].state)
-      << "the count-priced split changed the particle state";
-  EXPECT_EQ(a.field, kGolden[0].field)
-      << "the count-priced split changed the sampled fields";
-
-  core::SimConfig aggressive = wedge_cfg();
-  aggressive.shard_per_lane = 7;
-  aggressive.shard_rebalance_threshold = 1.0;  // repartition every chance
-  aggressive.shard_rebalance_interval = 1;
-  const auto b = run_case<double>(aggressive, kGoldenThreads);
-  EXPECT_EQ(b.state, kGolden[0].state);
-  EXPECT_EQ(b.field, kGolden[0].field);
-}
-
-// The shard plan follows the sort's per-cell counts and nothing else: two
-// runs of one configuration on separate pools cut the same blocks, assign
-// them to the same lanes and repartition at the same steps, whatever their
-// phase clocks read.
+// The partition follows the sort's per-cell starts and nothing else: two
+// runs of one configuration on separate pools cut the same blocks after
+// every step, whatever their phase clocks read.
 TEST(GoldenPipeline, ShardPlanDependsOnCountsAlone) {
   scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
   spec.config.particles_per_cell = 4.0;
@@ -478,24 +453,17 @@ TEST(GoldenPipeline, ShardPlanDependsOnCountsAlone) {
   for (int s = 0; s < 300; ++s) {
     a.step();
     b.step();
-    ASSERT_EQ(a.shard_plan().bounds, b.shard_plan().bounds) << "step " << s;
-    ASSERT_EQ(a.shard_plan().order, b.shard_plan().order) << "step " << s;
-    const auto sa = a.shard_stats();
-    const auto sb = b.shard_stats();
-    ASSERT_EQ(sa.shards, sb.shards) << "step " << s;
-    ASSERT_EQ(sa.repartitions, sb.repartitions) << "step " << s;
-    ASSERT_EQ(sa.cost_imbalance, sb.cost_imbalance) << "step " << s;
-    ASSERT_EQ(sa.post_imbalance, sb.post_imbalance) << "step " << s;
+    ASSERT_EQ(a.partition().size(), 5u) << "step " << s;
+    ASSERT_EQ(a.partition(), b.partition()) << "step " << s;
+    ASSERT_EQ(a.partition_imbalance(), b.partition_imbalance())
+        << "step " << s;
   }
-  // The run did repartition after its first plan.
-  EXPECT_GT(a.shard_stats().repartitions, 1u);
 }
 
-// Mid-run repartitioning across a checkpoint: save at step 10, restore into
-// a simulation with a different lane count AND different shard knobs (so
-// the rebuilt plan has a different shard count and repartitions every
-// step), and finish the run.  The full golden triple must reproduce — the
-// shard plan is transient state that carries no physics.  This is the same
+// A checkpoint restored into a pool of another lane count: save at step 10
+// on 3 lanes, restore on 16 (so every later step cuts 16 blocks instead of
+// 3), and finish the run.  The full golden triple must reproduce — the
+// partition is per-step state that carries no physics.  This is the same
 // save/restore mechanism core/checkpoint.* serializes to disk.
 TEST(GoldenPipeline, RepartitionAcrossCheckpointReproducesHashes) {
   cmdp::ThreadPool pool_a(kGoldenThreads);
@@ -504,12 +472,8 @@ TEST(GoldenPipeline, RepartitionAcrossCheckpointReproducesHashes) {
   const auto store_snapshot = a.particles();
   const auto state_snapshot = a.resume_state();
 
-  core::SimConfig cfg_b = wedge_cfg();
-  cfg_b.shard_per_lane = 2;
-  cfg_b.shard_rebalance_threshold = 1.0;
-  cfg_b.shard_rebalance_interval = 1;
   cmdp::ThreadPool pool_b(16);
-  core::SimulationD b(cfg_b, &pool_b);
+  core::SimulationD b(wedge_cfg(), &pool_b);
   b.restore(store_snapshot, state_snapshot);
   b.run(kWarmSteps - 10);
   b.set_sampling(true);
@@ -517,11 +481,7 @@ TEST(GoldenPipeline, RepartitionAcrossCheckpointReproducesHashes) {
 
   EXPECT_EQ(state_hash(b), kGolden[0].state);
   EXPECT_EQ(field_hash(b.field()), kGolden[0].field);
-  // The aggressive knobs really did exercise the repartitioner.
-  const auto sh = b.shard_stats();
-  EXPECT_GT(sh.shards, 0u);
-  EXPECT_GT(sh.repartitions, 1u);
-  EXPECT_GE(sh.post_imbalance, 1.0);
+  EXPECT_EQ(b.partition().size(), 17u);
 }
 
 // A key space above 2^21 runs through the same one-table

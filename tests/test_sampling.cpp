@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "cmdp/shard.h"
 #include "cmdp/sort.h"
 #include "rng/rng.h"
 #include "rng/samplers.h"
@@ -42,7 +41,7 @@ core::ParticleStore<double> uniform_gas(const geom::Grid& grid, double ppc,
 }
 
 // Samples `s` the way the simulation does: stably sorted by cell, then
-// accumulated cell block by cell block under a count-priced shard plan.
+// accumulated lane block by lane block under count-quantile cuts.
 // `ncells` may exceed the grid's cell count; the extra cells stand in for the
 // reservoir pseudo-cell band.
 void sample(core::FieldSampler<double>& sampler, cmdp::ThreadPool& pool,
@@ -52,17 +51,15 @@ void sample(core::FieldSampler<double>& sampler, cmdp::ThreadPool& pool,
   const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, cells);
   std::vector<std::uint32_t> counts(cells);
   std::vector<std::uint32_t> starts(cells);
-  std::vector<double> cost(cells);
   for (std::uint32_t c = 0; c < cells; ++c) {
     starts[c] = plan.key_starts[c];
     counts[c] = plan.key_starts[c + 1] - starts[c];
-    cost[c] = counts[c];
   }
   core::ParticleStore<double> scratch;
   s.scatter_sorted(pool, keys, plan, scratch);
-  const cmdp::ShardPlan shards =
-      cmdp::build_shard_plan(cost, 2 * pool.size(), pool.size());
-  sampler.accumulate(pool, s, counts.data(), starts.data(), shards);
+  std::vector<std::uint32_t> cuts(pool.size() + 1);
+  cmdp::count_quantile_cuts(starts, s.size(), cuts);
+  sampler.accumulate(pool, s, counts.data(), starts.data(), cuts);
 }
 
 }  // namespace

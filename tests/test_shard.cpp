@@ -1,6 +1,7 @@
-// The cell-block shard partitioner: quantile boundary placement, greedy LPT
-// lane assignment, degenerate inputs (hot cells, all-zero cost), plan
-// re-evaluation, and the parallel_shards coverage contract.
+// The cost-priced shard plan the benchmark suite's build probe times
+// (quantile boundary placement, greedy LPT lane assignment, degenerate
+// inputs), and the coverage contract of the step's own partition: the
+// count-quantile cuts dispatched through the sort's lane loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "cmdp/shard.h"
+#include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 
 namespace {
@@ -131,7 +133,7 @@ TEST(ShardPlan, ShardCountClampsToCellCount) {
   const auto one = cmdp::build_shard_plan(cost, 0, 1);
   check_integrity(one, 3, 1);
   EXPECT_EQ(one.count(), 1u);
-  EXPECT_FALSE(one.active()) << "single lane never activates sharding";
+  EXPECT_EQ(one.lanes, 1u);
 }
 
 TEST(ShardPlan, DeterministicForIdenticalInput) {
@@ -146,46 +148,30 @@ TEST(ShardPlan, DeterministicForIdenticalInput) {
   EXPECT_DOUBLE_EQ(a.imbalance, b.imbalance);
 }
 
-TEST(ShardPlan, ImbalanceReevaluationTracksFreshCosts) {
-  std::vector<double> cost(64, 1.0);
-  auto plan = cmdp::build_shard_plan(cost, 8, 4);
-  EXPECT_DOUBLE_EQ(cmdp::shard_plan_imbalance(plan, cost), 1.0);
-  // Load drifts into the first shard's cells: the stale assignment's
-  // predicted imbalance must rise without any boundary moving.
-  const auto bounds_before = plan.bounds;
-  for (std::uint32_t c = plan.bounds[0]; c < plan.bounds[1]; ++c)
-    cost[c] = 50.0;
-  const double imb = cmdp::shard_plan_imbalance(plan, cost);
-  EXPECT_GT(imb, 1.5);
-  EXPECT_EQ(plan.bounds, bounds_before);
-  // shard_cost was refreshed in place.
-  EXPECT_DOUBLE_EQ(plan.shard_cost[0],
-                   50.0 * (plan.bounds[1] - plan.bounds[0]));
-}
-
 TEST(ShardPlan, ParallelShardsCoversEveryCellOnce) {
-  std::vector<double> cost(257);
-  for (std::size_t c = 0; c < cost.size(); ++c)
-    cost[c] = static_cast<double>(c % 13) + 1.0;
-  cmdp::ThreadPool pool(4);
-  const auto plan = cmdp::build_shard_plan(cost, 16, pool.size());
-  ASSERT_TRUE(plan.active());
-  std::vector<std::atomic<int>> hits(cost.size());
+  // 257 cells of uneven occupancy, cut at count quantiles for a 4-lane
+  // pool: the lane dispatch must hand every cell to exactly one lane, and
+  // one lane must walk them all.
+  std::vector<std::uint32_t> starts(257);
+  std::uint32_t n = 0;
+  for (std::size_t c = 0; c < starts.size(); ++c) {
+    starts[c] = n;
+    n += static_cast<std::uint32_t>((c * 7) % 13);
+  }
+  std::vector<std::atomic<int>> hits(starts.size());
   for (auto& h : hits) h.store(0);
-  const auto ncells = static_cast<std::uint32_t>(cost.size());
-  auto count_hits = [&](std::uint32_t cb, std::uint32_t ce) {
-    for (std::uint32_t c = cb; c < ce; ++c) hits[c].fetch_add(1);
-  };
-  cmdp::parallel_shards(pool, plan, ncells, count_hits);
+  for (const unsigned lanes : {4u, 1u}) {
+    cmdp::ThreadPool pool(lanes);
+    std::vector<std::uint32_t> cuts(lanes + 1);
+    cmdp::count_quantile_cuts(starts, n, cuts);
+    EXPECT_LT(cmdp::cut_imbalance(starts, n, cuts), 1.10);
+    cmdp::for_each_sort_lane(pool, lanes, [&](unsigned t) {
+      for (std::uint32_t c = cuts[t]; c < cuts[t + 1]; ++c)
+        hits[c].fetch_add(1);
+    });
+  }
   for (std::size_t c = 0; c < hits.size(); ++c)
-    ASSERT_EQ(hits[c].load(), 1) << "cell " << c;
-  // A plan built for another lane count (or none at all) falls back to one
-  // serial block over the whole range.
-  cmdp::ThreadPool narrow(2);
-  cmdp::parallel_shards(narrow, plan, ncells, count_hits);
-  cmdp::parallel_shards(narrow, cmdp::ShardPlan{}, ncells, count_hits);
-  for (std::size_t c = 0; c < hits.size(); ++c)
-    ASSERT_EQ(hits[c].load(), 3) << "cell " << c;
+    ASSERT_EQ(hits[c].load(), 2) << "cell " << c;
 }
 
 }  // namespace

@@ -84,6 +84,24 @@ TEST(SimConfigValidate, RejectsSortKeySpaceBeyond32Bits) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+// Sorted positions, particle ids and the balance pass's merge slots are
+// 32-bit, so validate() refuses an initial population (flow plus
+// reservoir) of 2^32 particles or more, before anything is allocated.
+TEST(SimConfigValidate, RejectsParticleCountBeyond32Bits) {
+  core::SimConfig cfg;           // 98 x 64 cells, 10% reservoir
+  cfg.particles_per_cell = 1e6;  // ~6.9e9 particles
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // The bound is 2^32 / (6272 x 1.1) = 622531.8 particles per cell.
+  cfg.particles_per_cell = 623000.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.particles_per_cell = 622000.0;
+  EXPECT_NO_THROW(cfg.validate());
+  // The reservoir counts: without it the denser fill fits.
+  cfg.particles_per_cell = 623000.0;
+  cfg.reservoir_fraction = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
+}
+
 // The sort's key table costs 4 bytes per key and is swept every step, so
 // validate() caps it at 32 keys per freestream particle.
 TEST(SimConfigValidate, RejectsKeyTablesHeavierThanTheParticles) {

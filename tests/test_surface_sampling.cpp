@@ -196,19 +196,20 @@ TEST(SurfaceIntegration, UntouchedBodyInheritsConfigWallModel) {
   cfg.wall_sigma = 0.2;
   cmdp::ThreadPool pool(1);
   core::SimulationD sim(cfg, &pool);
-  ASSERT_NE(sim.body(), nullptr);
-  EXPECT_TRUE(sim.body()->any_diffuse());
-  EXPECT_EQ(sim.body()->segments()[2].wall,
+  ASSERT_FALSE(sim.scene().empty());
+  EXPECT_TRUE(sim.scene().body(0).any_diffuse());
+  EXPECT_EQ(sim.scene().body(0).segments()[2].wall,
             geom::WallModel::kDiffuseIsothermal);
-  EXPECT_NEAR(sim.body()->segments()[2].wall_sigma, 0.2, 1e-12);
+  EXPECT_NEAR(sim.scene().body(0).segments()[2].wall_sigma, 0.2, 1e-12);
   // Explicit per-segment choices win over the config default.
   core::SimConfig cfg2 = body_wedge_config();
   cfg2.wall = geom::WallModel::kDiffuseIsothermal;
   cfg2.body->set_segment_wall(1, geom::WallModel::kDiffuseAdiabatic, 0.3);
   core::SimulationD sim2(cfg2, &pool);
-  EXPECT_EQ(sim2.body()->segments()[1].wall,
+  EXPECT_EQ(sim2.scene().body(0).segments()[1].wall,
             geom::WallModel::kDiffuseAdiabatic);
-  EXPECT_EQ(sim2.body()->segments()[2].wall, geom::WallModel::kSpecular);
+  EXPECT_EQ(sim2.scene().body(0).segments()[2].wall,
+            geom::WallModel::kSpecular);
 }
 
 TEST(SurfaceIntegration, DiffuseIsothermalColdWallAbsorbsHeat) {
