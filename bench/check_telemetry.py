@@ -36,7 +36,7 @@ REQUIRED_KEYS = [
     "wall_events", "occ", "arena_bytes", "partition_imbalance",
     "phase_seconds", "lanes", "imbalance", "cum",
 ]
-# Optional block: present only on audited runs (CMDSMC_AUDIT build + audit=1).
+# Optional block: present only on audited runs (audit=1).
 AUDIT_KEYS = ["checks", "violations"]
 PHASE_KEYS = ["move", "sort", "select_collide", "sample", "step"]
 FUSED_PHASES = ["move", "sort", "select_collide", "sample"]

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "audit/audit.h"
 #include "bench_common.h"
 #include "cmdp/thread_pool.h"
 #include "obs/telemetry.h"
@@ -121,11 +120,6 @@ int main() {
                total > 0.0 ? 100.0 * fused / total : 0.0,
                total > 0.0 ? 100.0 * sim.phase_seconds(S::kPhaseSample) / total
                            : 0.0);
-  // The perf gate only accepts numbers from an audit-free binary: the
-  // invariant audit must be zero-cost when compiled out, and gating on an
-  // audit build would mask a regression in the real hot path.
-  std::fprintf(f, "  \"audit_compiled\": %s,\n",
-               cmdsmc::audit::kAuditCompiled ? "true" : "false");
   std::fprintf(f, "  \"telemetry_attached\": %s,\n",
                telemetry ? "true" : "false");
   if (telemetry)

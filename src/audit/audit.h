@@ -7,9 +7,8 @@
 //    a ParticleStore).  Always compiled, no Simulation
 //    dependency, unit-testable against deliberately corrupted inputs.
 //  - auditor.h: the Auditor<Real> that snapshots Simulation state at the
-//    step-phase hooks and calls these checks.  The hooks themselves are
-//    compiled into Simulation::step only under -DCMDSMC_AUDIT=1 (CMake
-//    option CMDSMC_AUDIT), so a regular Release build pays nothing.
+//    step-phase hooks and calls these checks.  Every build has the hooks;
+//    a step with no auditor attached pays one pointer test for them.
 //
 // A check appends Violations instead of throwing, so tests can count how
 // many fire; the Auditor turns the first violation of a batch into an
@@ -30,14 +29,6 @@
 #include "physics/numeric.h"
 
 namespace cmdsmc::audit {
-
-// True when the Simulation step-loop hooks are compiled in (CMDSMC_AUDIT
-// build).  The pure checks below exist in every build.
-#if defined(CMDSMC_AUDIT)
-inline constexpr bool kAuditCompiled = true;
-#else
-inline constexpr bool kAuditCompiled = false;
-#endif
 
 // Invariant families, one counter slot each (telemetry reports the totals).
 enum class Family : int {

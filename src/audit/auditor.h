@@ -1,8 +1,8 @@
 // Auditor<Real>: snapshots Simulation state at the step-phase hook points
 // and runs the pure checks from audit.h against it.
 //
-// Hook protocol (all calls made by Simulation::step, compiled in only under
-// -DCMDSMC_AUDIT=1, and only on steps the cadence selects):
+// Hook protocol (all calls made by Simulation::step, only on steps the
+// cadence selects):
 //
 //   begin_step     census + counter snapshot for the end-of-step ledger
 //   after_move     hygiene (NaN/Inf, in-domain, not-inside-solid) and the

@@ -54,7 +54,6 @@ class ThreadPool {
   // itself); pass nullptr to detach.  Costs two clock reads per lane per
   // region when attached, nothing when not.
   void set_lane_time_sink(LaneTimeSink* sink) { lane_sink_ = sink; }
-  LaneTimeSink* lane_time_sink() const { return lane_sink_; }
 
   // Scratch buffers shared by the cmdp primitives running on this pool.
   // Safe because the pool is not reentrant: two primitives never execute

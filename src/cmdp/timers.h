@@ -53,12 +53,8 @@ class PhaseTimers : public LaneTimeSink {
   void enable_lane_accumulation(unsigned lanes);
   void disable_lane_accumulation() { enable_lane_accumulation(0); }
   unsigned lanes() const { return lanes_; }
-  // Cumulative busy seconds of lane `tid` inside phase `id` (0 when lane
-  // accumulation is off).
-  double lane_seconds(std::size_t id, unsigned tid) const {
-    return lanes_ == 0 ? 0.0 : lane_seconds_[id * lanes_ + tid];
-  }
-  // The whole table, phase-major ([id * lanes() + tid]); empty when off.
+  // Cumulative busy seconds per (phase, lane), phase-major
+  // ([id * lanes() + tid]); empty when off.
   const std::vector<double>& lane_seconds_table() const {
     return lane_seconds_;
   }
@@ -70,13 +66,12 @@ class PhaseTimers : public LaneTimeSink {
     if (current_ != kNoPhase) lane_seconds_[current_ * lanes_ + tid] += seconds;
   }
 
-  // RAII scope guard.  The pool-taking form additionally attaches these
-  // timers as the pool's lane-time sink for the duration of the phase (only
-  // when per-lane accumulation is on with more than one lane — a one-lane
-  // table is filled exactly by stop() instead).
+  // RAII scope guard.  With a pool it also attaches these timers as the
+  // pool's lane-time sink for the duration of the phase (only when per-lane
+  // accumulation is on with more than one lane — a one-lane table is filled
+  // exactly by stop() instead).
   class Scope {
    public:
-    Scope(PhaseTimers& t, std::size_t id) : t_(t), id_(id) { t_.start(id_); }
     Scope(PhaseTimers& t, std::size_t id, ThreadPool* pool) : t_(t), id_(id) {
       if (pool != nullptr && t_.lanes() > 1) {
         pool_ = pool;

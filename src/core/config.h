@@ -107,7 +107,9 @@ struct SimConfig {
   int transpositions_per_collision = 1;
   Rounding rounding = Rounding::kStochastic;
   RngMode rng_mode = RngMode::kCounter;
-  bool reservoir_collisions = true;
+  // Reservoir pseudo-cells always collide.  Read only by the benchmark
+  // suite's shard-build probe, until the benchmark change deletes it.
+  static constexpr bool reservoir_collisions = true;
 
   // Selection+collision and field sampling take no knob: each pool lane
   // walks one block of pairing cells cut at particle-count quantiles of the

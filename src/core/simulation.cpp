@@ -7,15 +7,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "audit/auditor.h"
 #include "cmdp/parallel.h"
 #include "cmdp/sort.h"
 #include "core/reservoir_policy.h"
 #include "physics/collision.h"
 #include "rng/samplers.h"
-
-#if defined(CMDSMC_AUDIT)
-#include "audit/auditor.h"
-#endif
 
 namespace cmdsmc::core {
 
@@ -298,11 +295,9 @@ void Simulation<Real>::step() {
   // Invariant audit: hooks run between the phase scopes (outside the
   // timers, so audit cost never pollutes the Table A breakdown).  The
   // cadence decision is latched once so a mid-step boundary cannot split
-  // the hook sequence.  Compiled out entirely without -DCMDSMC_AUDIT=1.
-#if defined(CMDSMC_AUDIT)
+  // the hook sequence.
   const bool audited = auditor_ != nullptr && auditor_->wants(step_);
   if (audited) auditor_->begin_step(*this);
-#endif
   // With per-lane timing on, each phase scope attaches the timers as the
   // pool's lane-time sink; tp stays null (and the scopes cost nothing
   // extra) otherwise.
@@ -311,16 +306,12 @@ void Simulation<Real>::step() {
     cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseMove], tp);
     phase_move_and_boundaries();
   }
-#if defined(CMDSMC_AUDIT)
   if (audited) auditor_->after_move(*this);
-#endif
   {
     cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseSort], tp);
     phase_sort();
   }
-#if defined(CMDSMC_AUDIT)
   if (audited) auditor_->after_sort(*this);
-#endif
   {
     // Selection and collision are one fused pass (see
     // phase_select_and_collide); the select timer stays registered so the
@@ -328,16 +319,12 @@ void Simulation<Real>::step() {
     cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseCollide], tp);
     phase_select_and_collide();
   }
-#if defined(CMDSMC_AUDIT)
   if (audited) auditor_->after_collide(*this);
-#endif
   if (sampling_) {
     cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseSample], tp);
     phase_sample();
   }
-#if defined(CMDSMC_AUDIT)
   if (audited) auditor_->end_step(*this);
-#endif
   if (observe) emit_step_stats();
   ++step_;
 }
@@ -396,16 +383,10 @@ void Simulation<Real>::emit_step_stats() {
   s.cum_candidates = counters_.candidates;
   s.cum_collisions = counters_.collisions;
   // Audit gauges (the struct is reused across steps, so clear when off).
-  s.audit_active = false;
-  s.audit_checks = 0;
-  s.audit_violations = 0;
-#if defined(CMDSMC_AUDIT)
-  if (auditor_ != nullptr) {
-    s.audit_active = true;
-    s.audit_checks = auditor_->counters().total_checks();
-    s.audit_violations = auditor_->counters().total_violations();
-  }
-#endif
+  s.audit_active = auditor_ != nullptr;
+  s.audit_checks = s.audit_active ? auditor_->counters().total_checks() : 0;
+  s.audit_violations =
+      s.audit_active ? auditor_->counters().total_violations() : 0;
   // Occupancy spread over open flow cells, from the sort plan's per-cell
   // counts (still valid: the collide phase reads but never rewrites them).
   std::uint32_t occ_min = 0xffffffffu;
@@ -1124,7 +1105,6 @@ void Simulation<Real>::phase_select_and_collide() {
   // flags never round-trip through memory, the odd members are never
   // visited, and the cell tables load once per cell instead of per
   // particle.
-  const bool res_collide = cfg_.reservoir_collisions;
   const bool need_g = rule_.g_exponent != 0.0 && !rule_.near_continuum;
   const bool dirty = cfg_.rng_mode == RngMode::kDirty;
   const bool truncate = cfg_.rounding == Rounding::kTruncate;
@@ -1176,11 +1156,9 @@ void Simulation<Real>::phase_select_and_collide() {
       local_cand += cnt / 2;
       double p_cell = 1.0;
       double n_local = 0.0;  // cell density, used by the relative-speed rule
-      if (is_res) {
-        // Reservoir pseudo-cells: unconditional collisions drive the
-        // relaxation to a Maxwellian.
-        if (!res_collide) continue;
-      } else {
+      // Reservoir pseudo-cells collide unconditionally (p_cell stays 1):
+      // that drives their relaxation to a Maxwellian.
+      if (!is_res) {
         const double open = openp[c] > 0.05 ? openp[c] : 0.05;
         n_local = cellwp != nullptr
                       ? cellwp[c] / (open * volp[c])

@@ -142,16 +142,13 @@ class Simulation {
   // off.  With no observer attached the step loop pays a single pointer
   // test.  The observer must outlive the simulation or be detached first.
   void set_step_observer(obs::StepObserver* observer);
-  obs::StepObserver* step_observer() const { return observer_; }
 
   // --- Invariant audit (audit/auditor.h) ---
-  // Attaches the in-situ auditor.  The step-loop hooks only exist in
-  // -DCMDSMC_AUDIT=1 builds (audit::kAuditCompiled) — attaching in any
-  // other build is a silent no-op, which the scenario runner turns into a
-  // config error instead.  The auditor must outlive the simulation or be
-  // detached first.
+  // Attaches the in-situ auditor: every step its cadence selects runs the
+  // audit hooks between the phases; nullptr detaches.  Like the observer,
+  // a detached auditor costs the step loop a single pointer test.  The
+  // auditor must outlive the simulation or be detached first.
   void set_auditor(audit::Auditor<Real>* auditor) { auditor_ = auditor; }
-  audit::Auditor<Real>* auditor() const { return auditor_; }
 
   // Read-only views of the sort phase's per-pairing-cell tables and of the
   // step's partition, for the audit layer (valid after the first step; the
@@ -331,9 +328,7 @@ class Simulation {
   cmdp::PhaseTimers timers_;
   std::array<std::size_t, kPhaseCount> phase_id_{};
 
-  // In-situ invariant auditor (hooks compiled only under CMDSMC_AUDIT;
-  // the member itself is unconditional so the class layout never depends
-  // on the macro).
+  // In-situ invariant auditor (nullptr: no audit hooks run).
   audit::Auditor<Real>* auditor_ = nullptr;
 
   // Step observer state: the reusable stats record plus the step-start

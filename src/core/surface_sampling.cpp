@@ -165,24 +165,6 @@ void SurfaceSampler::accumulate_body(const geom::Body& body, int body_index,
   }
 }
 
-SurfaceStats SurfaceSampler::finalize(const geom::Body& body, double rho_inf,
-                                      double sigma_inf, double u_inf) const {
-  if (body.segment_count() != nseg_)
-    throw std::invalid_argument(
-        "SurfaceSampler::finalize: body/sampler segment count mismatch");
-  SurfaceStats out;
-  out.samples = samples_;
-  out.p_inf = rho_inf * sigma_inf * sigma_inf;
-  out.q_inf = 0.5 * rho_inf * u_inf * u_inf;
-  out.body_name = body.name();
-  if (nseg_ == 0) return out;
-  out.segments.reserve(static_cast<std::size_t>(nseg_));
-  accumulate_body(body, 0, 0, out);
-  finish(out, axisymmetric_ ? revolved_ref_area(body) : body.chord(),
-         rho_inf, u_inf, axisymmetric_);
-  return out;
-}
-
 SurfaceStats SurfaceSampler::finalize(const geom::Scene& scene,
                                       double rho_inf, double sigma_inf,
                                       double u_inf) const {

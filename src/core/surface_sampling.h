@@ -113,14 +113,11 @@ class SurfaceSampler {
   // end_step; telemetry differences consecutive values for per-step counts).
   std::uint64_t events_total() const { return events_total_; }
 
-  // Reduces and normalizes against the body geometry and the freestream
-  // (rho_inf = n_inf for unit-mass particles).  The legacy single-body
-  // overload requires body.segment_count() == segment_count().
-  SurfaceStats finalize(const geom::Body& body, double rho_inf,
-                        double sigma_inf, double u_inf) const;
-  // Scene totals: all segments flat, forces summed over bodies, Cd/Cl
-  // referenced to the summed chord.  For a one-body scene this is exactly
-  // the single-body overload's result.
+  // Reduces and normalizes against the scene geometry and the freestream
+  // (rho_inf = n_inf for unit-mass particles); requires
+  // scene.total_segments() == segment_count().  Scene totals: all segments
+  // flat, forces summed over bodies, Cd/Cl referenced to the summed chord
+  // (a one-body scene reports that body under its own name).
   SurfaceStats finalize(const geom::Scene& scene, double rho_inf,
                         double sigma_inf, double u_inf) const;
   // Per-body resolution: element b covers scene.body(b)'s segments only,

@@ -85,8 +85,7 @@ struct StepStats {
   // deletes it.
   std::uint64_t repartitions = 0;
 
-  // --- Invariant audit (zeros unless an auditor is attached, which
-  // requires a -DCMDSMC_AUDIT=1 build + audit=1 at runtime) ---
+  // --- Invariant audit (zeros unless an auditor is attached: audit=1) ---
   bool audit_active = false;
   std::uint64_t audit_checks = 0;      // cumulative checks up to this step
   std::uint64_t audit_violations = 0;  // cumulative violations (0 = healthy)

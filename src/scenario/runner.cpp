@@ -387,14 +387,9 @@ RunResult Runner::run_impl(cmdp::ThreadPool* pool) {
     sim.set_step_observer(telemetry.get());
   }
 
-  // Invariant audit: attach the in-situ auditor.  Usage error (exit 2), not
-  // a silent no-op, when the build compiled the step-loop hooks out.
+  // Invariant audit: attach the in-situ auditor.
   std::unique_ptr<audit::Auditor<Real>> auditor;
   if (spec_.audit) {
-    if (!audit::kAuditCompiled)
-      throw cli::ArgError(
-          "audit=1 requires an audit-enabled build (configure with "
-          "-DCMDSMC_AUDIT=ON)");
     audit::AuditOptions aopt;
     aopt.every = spec_.audit_every;
     aopt.tol = spec_.audit_tol;

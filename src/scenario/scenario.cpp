@@ -255,10 +255,6 @@ const std::vector<OverrideEntry>& override_table() {
          s.wall_temperature_ratio = r;
          for (BodySpec& b : s.bodies) b.wall_temperature_ratio = r;
        }},
-      {"wall_sigma", "diffuse-wall thermal std dev (overrides twall)",
-       [](ScenarioSpec& s, const std::string& k, const std::string& v) {
-         s.wall_sigma_override = cli::parse_double(k, v);
-       }},
       // --- Algorithm knobs ---
       {"sort_scale", "cell-key scale factor for sort randomization",
        set_int(&core::SimConfig::sort_scale)},
@@ -284,8 +280,6 @@ const std::vector<OverrideEntry>& override_table() {
          else
            cli::throw_bad_choice(k, v, {"counter", "dirty"});
        }},
-      {"reservoir_collisions", "collide reservoir particles",
-       set_bool(&core::SimConfig::reservoir_collisions)},
       {"seed", "RNG seed (decimal or 0x hex)",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.config.seed = cli::parse_uint64(k, v);
@@ -367,8 +361,7 @@ const std::vector<OverrideEntry>& override_table() {
          s.progress = cli::parse_bool(k, v);
        }},
       // --- Invariant audit ---
-      {"audit", "in-situ invariant audit (needs a -DCMDSMC_AUDIT=ON build); "
-                "violations abort the run",
+      {"audit", "in-situ invariant audit; violations abort the run",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.audit = cli::parse_bool(k, v);
        }},
@@ -734,10 +727,8 @@ std::optional<geom::Body> BodySpec::make(double sigma_inf) const {
 
 core::SimConfig ScenarioSpec::build_config() const {
   core::SimConfig cfg = config;
-  // T_wall / T_inf -> wall_sigma, from the final sigma (possibly overridden);
-  // an explicit wall_sigma override wins.
+  // T_wall / T_inf -> wall_sigma, from the final sigma (possibly overridden).
   cfg.set_wall_temperature_ratio(wall_temperature_ratio);
-  if (wall_sigma_override) cfg.wall_sigma = *wall_sigma_override;
   std::vector<geom::Body> made;
   for (std::size_t n = 0; n < bodies.size(); ++n) {
     BodySpec b = bodies[n];
@@ -789,12 +780,6 @@ ScenarioSpec get_scenario(const std::string& name) {
   }
   throw cli::ArgError("unknown scenario '" + name +
                       "'; run `cmdsmc list` or pick one of: " + names);
-}
-
-std::vector<std::string> scenario_names() {
-  std::vector<std::string> names;
-  for (const ScenarioSpec& s : all_scenarios()) names.push_back(s.name);
-  return names;
 }
 
 // --- Overrides ---------------------------------------------------------------

@@ -84,8 +84,6 @@ struct ScenarioSpec {
   // is derived from the *final* sigma at build_config time, so overriding
   // sigma can no longer silently leave the wall at the 0.18 default.
   double wall_temperature_ratio = 1.0;
-  // Explicit wall_sigma override (wall_sigma=... wins over twall=...).
-  std::optional<double> wall_sigma_override;
   std::string output_prefix;  // defaults to the scenario name
   // Default output sinks for the CLI (see runner.h make_sink): any of
   // "ascii", "report", "json", "field_csv", "surface_csv", "vtk".
@@ -103,8 +101,7 @@ struct ScenarioSpec {
   int telemetry_every = 1;  // record every Nth step
   bool progress = false;    // stderr heartbeat
 
-  // --- Invariant audit (audit/auditor.h; needs a -DCMDSMC_AUDIT=ON build,
-  // the Runner rejects audit=1 on a build without the hooks) ---
+  // --- Invariant audit (audit/auditor.h; the Runner attaches the auditor) ---
   bool audit = false;       // attach the in-situ invariant auditor
   int audit_every = 1;      // audit every Nth step
   double audit_tol = 1e-9;  // relative tolerance for conservation checks
@@ -125,8 +122,6 @@ const ScenarioSpec* find_scenario(const std::string& name);
 
 // Copy of the named spec; throws cli::ArgError listing the valid names.
 ScenarioSpec get_scenario(const std::string& name);
-
-std::vector<std::string> scenario_names();
 
 // --- Overrides --------------------------------------------------------------
 

@@ -3,11 +3,9 @@
 // Two halves, matching the layer's own split:
 //  - The pure checks must FIRE on deliberately corrupted inputs (a check
 //    that never fires proves nothing) and stay silent on clean ones.
-//    These run in every build — the checks are always compiled.
 //  - The full Auditor wired into Simulation::step must report ZERO
 //    violations over real wedge and axisymmetric runs, and attaching it
-//    must not perturb the physics by a single bit.  These need the
-//    -DCMDSMC_AUDIT=ON hooks and skip elsewhere.
+//    must not perturb the physics by a single bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -357,11 +355,9 @@ TEST(Auditor, FormatCarriesContext) {
   EXPECT_EQ(err.violation().step, 12);
 }
 
-// --- Full audited runs (need the compiled-in step hooks) -------------------------
+// --- Full audited runs through the Simulation::step hooks --------------------
 
 TEST(AuditedRun, WedgeRunIsCleanAndBitIdentical) {
-  if (!audit::kAuditCompiled)
-    GTEST_SKIP() << "needs a -DCMDSMC_AUDIT=ON build";
   cmdp::ThreadPool pool(4);
   const auto cfg = small_wedge_config();
 
@@ -392,8 +388,6 @@ TEST(AuditedRun, WedgeRunIsCleanAndBitIdentical) {
 }
 
 TEST(AuditedRun, AxisymmetricRunIsClean) {
-  if (!audit::kAuditCompiled)
-    GTEST_SKIP() << "needs a -DCMDSMC_AUDIT=ON build";
   cmdp::ThreadPool pool(2);
   audit::AuditOptions opt;
   opt.fatal = false;
@@ -407,8 +401,6 @@ TEST(AuditedRun, AxisymmetricRunIsClean) {
 }
 
 TEST(AuditedRun, CadenceSkipsSteps) {
-  if (!audit::kAuditCompiled)
-    GTEST_SKIP() << "needs a -DCMDSMC_AUDIT=ON build";
   cmdp::ThreadPool pool(2);
   audit::AuditOptions every_step;
   every_step.fatal = false;

@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "cmdp/thread_pool.h"
 #include "core/simulation.h"
@@ -84,7 +88,6 @@ TEST(ScenarioOverrides, RoundTripsEverySimConfigField) {
       {"transpositions_per_collision", "2"},
       {"rounding", "truncate"},
       {"rng_mode", "dirty"},
-      {"reservoir_collisions", "false"},
       {"seed", "0x123"},
   };
   for (const auto& [k, v] : overrides)
@@ -117,7 +120,6 @@ TEST(ScenarioOverrides, RoundTripsEverySimConfigField) {
   EXPECT_EQ(c.transpositions_per_collision, 2);
   EXPECT_EQ(c.rounding, core::Rounding::kTruncate);
   EXPECT_EQ(c.rng_mode, core::RngMode::kDirty);
-  EXPECT_FALSE(c.reservoir_collisions);
   EXPECT_EQ(c.seed, 0x123ULL);
 
   // The wall temperature ratio is applied physically at build time, derived
@@ -185,12 +187,15 @@ TEST(ScenarioOverrides, RejectsUnknownAndMalformedKeys) {
 }
 
 // The partition takes no knob: every former shard.* key is unknown (exit
-// 2 listing the valid keys), and none is advertised.
+// 2 listing the valid keys), and none is advertised.  So are the former
+// reservoir_collisions (reservoirs always collide) and wall_sigma (twall=
+// sets the wall temperature) keys.
 TEST(ScenarioOverrides, ShardKeysSetTheCostModel) {
   scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
   for (const char* key : {"shard.collide_weight", "shard.per_lane",
                           "shard.threshold", "shard.interval",
-                          "shard.enable"}) {
+                          "shard.enable", "reservoir_collisions",
+                          "wall_sigma"}) {
     try {
       scenario::apply_override(spec, key, "1");
       FAIL() << key << " was accepted";
@@ -357,4 +362,64 @@ TEST(ScenarioRunner, FixedPrecisionRunsEndToEnd) {
   EXPECT_EQ(r.precision, scenario::Precision::kFixed);
   EXPECT_GT(r.counters.collisions, 0u);
   EXPECT_EQ(r.field.samples, 5);
+}
+
+// `cmdsmc run wedge-mach4 steps=10 ppc=2 audit=1 telemetry=<path>`: every
+// build carries the audit hooks, so the Runner audits the run, reports it
+// clean, changes no counter, and the summary JSON and every telemetry line
+// carry the audit totals.
+TEST(ScenarioRunner, AuditOverrideAuditsTheRun) {
+  cmdp::ThreadPool pool(0);
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  scenario::apply_override(spec, "steps", "10");
+  scenario::apply_override(spec, "ppc", "2");
+  const scenario::RunResult plain = scenario::Runner(spec).run(&pool);
+  EXPECT_FALSE(plain.audit_enabled);
+
+  const std::string path = "runner_audit_telemetry.jsonl";
+  scenario::apply_override(spec, "audit", "1");
+  scenario::apply_override(spec, "telemetry", path);
+  const scenario::RunResult r = scenario::Runner(spec).run(&pool);
+  EXPECT_TRUE(r.audit_enabled);
+  EXPECT_GT(r.audit_checks, 0u);
+  EXPECT_EQ(r.audit_violations, 0u);
+
+  // Attaching the auditor changes no counter of the run.
+  EXPECT_EQ(r.counters.candidates, plain.counters.candidates);
+  EXPECT_EQ(r.counters.collisions, plain.counters.collisions);
+  EXPECT_EQ(r.counters.reservoir_collisions,
+            plain.counters.reservoir_collisions);
+  EXPECT_EQ(r.counters.removed, plain.counters.removed);
+  EXPECT_EQ(r.counters.injected, plain.counters.injected);
+  EXPECT_EQ(r.counters.synthesized, plain.counters.synthesized);
+  EXPECT_EQ(r.flow_count, plain.flow_count);
+  EXPECT_EQ(r.reservoir_count, plain.reservoir_count);
+
+  const std::string json = scenario::JsonSummarySink::to_json(r);
+  EXPECT_NE(json.find("\"audit\": {\"enabled\": true"), std::string::npos)
+      << json;
+
+  // One telemetry line per step, each with an audit block whose cumulative
+  // check count never decreases and ends at the run's total.
+  const std::string key = "\"audit\":{\"checks\":";
+  std::ifstream in(path);
+  std::string line;
+  int lines = 0;
+  std::uint64_t prev = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    const std::size_t at = line.find(key);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "no audit block: " << line;
+      continue;
+    }
+    const std::uint64_t checks =
+        std::strtoull(line.c_str() + at + key.size(), nullptr, 10);
+    EXPECT_GE(checks, prev) << line;
+    prev = checks;
+  }
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(lines, r.steady_steps + r.avg_steps);
+  EXPECT_EQ(prev, r.audit_checks);
 }

@@ -5,8 +5,11 @@
 #include <cmath>
 #include <numbers>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "core/simulation.h"
+#include "geom/scene.h"
 #include "io/surface_csv.h"
 #include "physics/theory.h"
 
@@ -18,6 +21,10 @@ namespace io = cmdsmc::io;
 namespace {
 
 constexpr double kRad = std::numbers::pi / 180.0;
+
+geom::Scene one_body(geom::Body body) {
+  return geom::Scene(std::vector<geom::Body>{std::move(body)});
+}
 
 core::SimConfig body_wedge_config() {
   core::SimConfig cfg;
@@ -38,8 +45,8 @@ core::SimConfig body_wedge_config() {
 TEST(SurfaceSampler, NormalizesSyntheticEventsIntoFluxes) {
   // Unit square: segment 0 is the bottom edge, outward normal (0,-1),
   // tangent (+1,0), length 1.
-  const geom::Body sq = geom::Body::FlatPlate(0.0, 0.0, 1.0, 1.0);
-  core::SurfaceSampler sampler(sq.segment_count(), 2, 1.0);
+  const geom::Scene sq = one_body(geom::Body::FlatPlate(0.0, 0.0, 1.0, 1.0));
+  core::SurfaceSampler sampler(sq.total_segments(), 2, 1.0);
   ASSERT_TRUE(sampler.active());
 
   // One event per lane on the bottom face over two steps.  A particle
@@ -86,8 +93,8 @@ TEST(SurfaceSampler, NormalizesSyntheticEventsIntoFluxes) {
 }
 
 TEST(SurfaceSampler, SplitsIncidentAndReflectedFluxes) {
-  const geom::Body sq = geom::Body::FlatPlate(0.0, 0.0, 1.0, 1.0);
-  core::SurfaceSampler sampler(sq.segment_count(), 1, 1.0);
+  const geom::Scene sq = one_body(geom::Body::FlatPlate(0.0, 0.0, 1.0, 1.0));
+  core::SurfaceSampler sampler(sq.total_segments(), 1, 1.0);
   // Bottom face (area 1): one event carrying the full split.  A particle
   // arrives with normal momentum 0.8 and energy 0.5, leaves with normal
   // momentum 0.6 and energy 0.3 (the wall kept 0.2).
@@ -112,8 +119,8 @@ TEST(SurfaceSampler, SplitsIncidentAndReflectedFluxes) {
 }
 
 TEST(SurfaceSampler, ZeroFreestreamReportsRawFluxesOnly) {
-  const geom::Body sq = geom::Body::FlatPlate(0.0, 0.0, 1.0, 1.0);
-  core::SurfaceSampler sampler(sq.segment_count(), 1, 1.0);
+  const geom::Scene sq = one_body(geom::Body::FlatPlate(0.0, 0.0, 1.0, 1.0));
+  core::SurfaceSampler sampler(sq.total_segments(), 1, 1.0);
   geom::WallEventBuffer ev;
   ev.add(0, 0.0, 2.0, 0.5);
   sampler.record(0, ev, 1.0);
@@ -125,8 +132,8 @@ TEST(SurfaceSampler, ZeroFreestreamReportsRawFluxesOnly) {
 }
 
 TEST(SurfaceCsv, WritesHeaderAndSkipsEmbeddedSegments) {
-  const geom::Body w = geom::Body::Wedge(20.0, 25.0, 30.0 * kRad);
-  core::SurfaceSampler sampler(w.segment_count(), 1, 1.0);
+  const geom::Scene w = one_body(geom::Body::Wedge(20.0, 25.0, 30.0 * kRad));
+  core::SurfaceSampler sampler(w.total_segments(), 1, 1.0);
   geom::WallEventBuffer ev;
   ev.add(2, -0.5, 0.9, 0.0);
   sampler.record(0, ev, 1.0);

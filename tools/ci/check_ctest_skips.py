@@ -1,17 +1,15 @@
 #!/usr/bin/env python3
-"""Fails a CI step when ctest skipped a test that must run.
+"""Fails a CI step when ctest skipped a test.
 
 ctest lists every test it did not run (skipped, disabled, not run) after
 its summary as "  <n> - <name> (<reason>)".  A skip passes ctest, so a
 test that always skips would go unnoticed; this check turns any such
-entry whose name does not match --allow into a failure.
+entry into a failure.
 
 Usage:
   set -o pipefail
   ctest --output-on-failure | tee ctest.log
-  python3 tools/ci/check_ctest_skips.py ctest.log --allow 'AuditedRun\\.'
-
-Without --allow, any test that did not run fails the check.
+  python3 tools/ci/check_ctest_skips.py ctest.log
 """
 import argparse
 import re
@@ -38,22 +36,15 @@ def not_run(lines):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("log", help="captured ctest output")
-    ap.add_argument("--allow", default=None,
-                    help="regex; tests whose name starts with a match may "
-                         "skip")
     args = ap.parse_args()
-    allow = re.compile(args.allow) if args.allow else None
     with open(args.log, encoding="utf-8", errors="replace") as f:
         entries = list(not_run(f))
-    bad = [(n, r) for n, r in entries if not (allow and allow.match(n))]
     for name, reason in entries:
-        tag = "UNEXPECTED" if (name, reason) in bad else "allowed"
-        print(f"{tag}: {name} ({reason})")
-    if bad:
-        print(f"{len(bad)} test(s) did not run and are not allowed to skip",
-              file=sys.stderr)
+        print(f"UNEXPECTED: {name} ({reason})")
+    if entries:
+        print(f"{len(entries)} test(s) did not run", file=sys.stderr)
         return 1
-    print(f"skip check passed: {len(entries)} allowed skip(s)")
+    print("skip check passed: every test ran")
     return 0
 
 
