@@ -316,6 +316,185 @@ TEST(Checkpoint, RefusesRestoreAgainstMismatchedGeometry) {
   std::remove(path.c_str());
 }
 
+namespace {
+
+// FNV-1a over a file's bytes.
+std::uint64_t file_fnv1a(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c; is.get(c);) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct FileBytes {
+  std::uintmax_t size = 0;
+  std::uint64_t hash = 0;
+};
+
+// Size and hash of the checkpoint of a run of 4 steps plus 3 with field and
+// surface sampling on.
+template <class Real>
+FileBytes pinned_checkpoint(const core::SimConfig& cfg, unsigned lanes,
+                            const std::string& path) {
+  cmdp::ThreadPool pool(lanes);
+  core::Simulation<Real> sim(cfg, &pool);
+  sim.run(4);
+  sim.set_sampling(true);
+  sim.set_surface_sampling(true);
+  sim.run(3);
+  core::save_checkpoint(path, sim);
+  const FileBytes out{std::filesystem::file_size(path), file_fnv1a(path)};
+  std::remove(path.c_str());
+  return out;
+}
+
+core::SimConfig pin_wedge_cfg() {
+  core::SimConfig cfg;
+  cfg.nx = 24;
+  cfg.ny = 16;
+  cfg.wedge_x0 = 6.0;
+  cfg.wedge_base = 8.0;
+  cfg.particles_per_cell = 3.0;
+  return cfg;
+}
+
+core::SimConfig pin_duct_cfg() {
+  core::SimConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 8;
+  cfg.nz = 4;
+  cfg.wedge_x0 = 4.0;
+  cfg.wedge_base = 6.0;
+  cfg.particles_per_cell = 3.0;
+  cfg.vibrational = true;
+  return cfg;
+}
+
+core::SimConfig pin_sphere_cfg() {
+  core::SimConfig cfg;
+  cfg.nx = 24;
+  cfg.ny = 12;
+  cfg.has_wedge = false;
+  cfg.axisymmetric = true;
+  cfg.body = cmdsmc::geom::Body::Cylinder(10.0, 0.0, 3.0, 12);
+  cfg.wall = cmdsmc::geom::WallModel::kDiffuseIsothermal;
+  cfg.particles_per_cell = 4.0;
+  cfg.mach = 6.0;
+  cfg.sigma = 0.12;
+  cfg.lambda_inf = 0.5;
+  return cfg;
+}
+
+}  // namespace
+
+TEST(Checkpoint, BytesArePinned) {
+  // The simulation checkpoint's bytes, for four layouts: the planar wedge in
+  // double and Fixed32, a 3D vibrational duct (z, v0, v1 columns) and a
+  // diffuse axisymmetric sphere (weight column, surface sums).  A change to
+  // the file layout fails here and takes a new magic.
+  const std::string path = testing::TempDir() + "/cmdsmc_pin_ckpt.bin";
+  struct Case {
+    const char* name;
+    FileBytes expect;
+    FileBytes (*run)(unsigned, const std::string&);
+  };
+  const Case cases[] = {
+      {"wedge double",
+       {105860, 0x80eea1e4ddee558aull},
+       [](unsigned l, const std::string& p) {
+         return pinned_checkpoint<double>(pin_wedge_cfg(), l, p);
+       }},
+      {"wedge fixed",
+       {72064, 0xb1437ecd470c27e2ull},
+       [](unsigned l, const std::string& p) {
+         return pinned_checkpoint<cmdsmc::fixedpoint::Fixed32>(pin_wedge_cfg(),
+                                                               l, p);
+       }},
+      {"vibrational duct3d",
+       {174439, 0xaee5ad203d1686b3ull},
+       [](unsigned l, const std::string& p) {
+         return pinned_checkpoint<double>(pin_duct_cfg(), l, p);
+       }},
+      {"axi sphere",
+       {111006, 0x5bad2b5848696373ull},
+       [](unsigned l, const std::string& p) {
+         return pinned_checkpoint<double>(pin_sphere_cfg(), l, p);
+       }},
+  };
+  for (const Case& c : cases) {
+    for (const unsigned lanes : {1u, 3u}) {
+      const FileBytes got = c.run(lanes, path);
+      EXPECT_EQ(got.size, c.expect.size) << c.name << ", " << lanes;
+      EXPECT_EQ(got.hash, c.expect.hash)
+          << c.name << ", " << lanes << " lanes: 0x" << std::hex << got.hash;
+    }
+  }
+}
+
+TEST(Checkpoint, EveryTruncationIsRefused) {
+  // Every proper prefix of a simulation checkpoint is refused with an error
+  // naming the checkpoint, and the target simulation keeps its step index
+  // and particle store.
+  cmdp::ThreadPool pool(2);
+  core::SimConfig cfg;
+  cfg.nx = 8;
+  cfg.ny = 6;
+  cfg.wedge_x0 = 2.0;
+  cfg.wedge_base = 3.0;
+  cfg.particles_per_cell = 2.0;
+  core::SimulationD src(cfg, &pool);
+  src.run(3);
+  src.set_sampling(true);
+  src.set_surface_sampling(true);
+  src.run(2);
+  const std::string full = testing::TempDir() + "/cmdsmc_trunc_full.bin";
+  const std::string path = testing::TempDir() + "/cmdsmc_trunc.bin";
+  core::save_checkpoint(full, src);
+  std::string bytes;
+  {
+    std::ifstream is(full, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  std::remove(full.c_str());
+  ASSERT_GT(bytes.size(), 1000u);
+
+  core::SimulationD target(cfg, &pool);
+  target.run(1);
+  const std::int64_t step0 = target.step_index();
+  const std::vector<double> x0 = target.particles().x;
+  const std::vector<std::uint32_t> id0 = target.particles().id;
+  std::size_t refused = 0;
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), static_cast<std::streamsize>(len));
+    }
+    try {
+      core::load_checkpoint(path, target);
+      ADD_FAILURE() << "prefix of " << len << " bytes accepted";
+      break;
+    } catch (const std::runtime_error& e) {
+      if (std::string(e.what()).rfind("checkpoint:", 0) != 0) {
+        ADD_FAILURE() << "prefix of " << len << " bytes: " << e.what();
+        break;
+      }
+      ++refused;
+    }
+    if (target.step_index() != step0) {
+      ADD_FAILURE() << "prefix of " << len << " bytes moved the step index";
+      break;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(refused, bytes.size());
+  EXPECT_EQ(target.particles().x, x0);
+  EXPECT_EQ(target.particles().id, id0);
+}
+
 TEST(SteadyDetector, DetectsPlateauAfterTransient) {
   core::SteadyDetector det(20, 0.01, 2);
   int step = 0;
