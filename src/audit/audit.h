@@ -21,6 +21,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/particles.h"
@@ -174,43 +175,32 @@ void compare_cell_moments(const CellMoments& before, const CellMoments& after,
                           std::size_t max_report = 8);
 
 // --- State hygiene ---------------------------------------------------------
-// NaN/Inf scan over every active particle array.
+// NaN/Inf scan over every active floating-point particle array; each
+// non-finite entry is one violation (at most `max_report`).
 template <class Real>
 void check_finite_store(const core::ParticleStore<Real>& store,
                         std::int64_t step, const char* phase,
                         std::vector<Violation>& out,
                         std::size_t max_report = 8) {
-  using N = physics::Num<Real>;
-  const std::size_t n = store.size();
   std::size_t reported = 0;
-  for (std::size_t i = 0; i < n && reported < max_report; ++i) {
-    const double vals[] = {
-        N::to_double(store.x[i]),
-        N::to_double(store.y[i]),
-        store.has_z ? N::to_double(store.z[i]) : 0.0,
-        N::to_double(store.ux[i]),
-        N::to_double(store.uy[i]),
-        N::to_double(store.uz[i]),
-        N::to_double(store.r0[i]),
-        N::to_double(store.r1[i]),
-        store.has_vib ? N::to_double(store.v0[i]) : 0.0,
-        store.has_vib ? N::to_double(store.v1[i]) : 0.0,
-        store.has_weight ? store.weight[i] : 1.0,
-    };
-    static const char* const names[] = {"x",  "y",  "z",  "ux", "uy", "uz",
-                                        "r0", "r1", "v0", "v1", "weight"};
-    for (std::size_t k = 0; k < std::size(vals); ++k) {
-      if (!std::isfinite(vals[k])) {
-        out.push_back({Family::kHygiene, step, phase,
-                       static_cast<std::int64_t>(i),
-                       std::string("non-finite ") + names[k] +
-                           " in particle array (value " +
-                           std::to_string(vals[k]) + ")"});
-        ++reported;
-        break;
-      }
-    }
-  }
+  core::ParticleStore<Real>::for_each_array(
+      [&](const char* name, const auto& a) {
+        using T = typename std::decay_t<decltype(a)>::value_type;
+        if constexpr (std::is_same_v<T, Real> || std::is_same_v<T, double>) {
+          for (std::size_t i = 0; i < a.size() && reported < max_report;
+               ++i) {
+            const double v = physics::Num<T>::to_double(a[i]);
+            if (std::isfinite(v)) continue;
+            out.push_back({Family::kHygiene, step, phase,
+                           static_cast<std::int64_t>(i),
+                           std::string("non-finite ") + name +
+                               " in particle array (value " +
+                               std::to_string(v) + ")"});
+            ++reported;
+          }
+        }
+      },
+      store);
 }
 
 // NaN/Inf scan over a plain accumulator array (field/surface sums).
@@ -275,33 +265,15 @@ void check_in_domain(const core::ParticleStore<Real>& store,
 template <class Real>
 std::uint64_t hash_store(const core::ParticleStore<Real>& store) {
   std::uint64_t h = 1469598103934665603ull;
-  auto fold_bytes = [&h](const void* p, std::size_t bytes) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < bytes; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  };
-  auto fold = [&](const auto& v) {
-    fold_bytes(v.data(), v.size() * sizeof(v[0]));
-  };
-  fold(store.x);
-  fold(store.y);
-  if (store.has_z) fold(store.z);
-  fold(store.ux);
-  fold(store.uy);
-  fold(store.uz);
-  fold(store.r0);
-  fold(store.r1);
-  if (store.has_vib) {
-    fold(store.v0);
-    fold(store.v1);
-  }
-  if (store.has_weight) fold(store.weight);
-  fold(store.perm);
-  fold(store.cell);
-  fold(store.flags);
-  fold(store.id);
+  core::ParticleStore<Real>::for_each_array(
+      [&h](const char*, const auto& a) {
+        const auto* b = reinterpret_cast<const unsigned char*>(a.data());
+        for (std::size_t i = 0, e = a.size() * sizeof(a[0]); i < e; ++i) {
+          h ^= b[i];
+          h *= 1099511628211ull;
+        }
+      },
+      store);
   return h;
 }
 

@@ -17,7 +17,9 @@
 //                  only in expectation, by design)
 //   end_step       exact particle ledger against the counter deltas,
 //                  field/surface accumulator hygiene, and the sparse
-//                  checkpoint save -> restore -> rehash round trip
+//                  checkpoint round trip (save_checkpoint -> read_checkpoint
+//                  -> store hash, geometry hash and resume state compared
+//                  with the live simulation)
 //
 // Checks run serially on the control thread between phases: audit mode
 // trades speed for certainty, and serial accumulation keeps every reported

@@ -4,15 +4,16 @@
 
 #include <chrono>
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "cmdp/thread_pool.h"
 
 namespace cmdsmc::cmdp {
 
-// Accumulates wall-clock seconds per named phase.  Not thread-safe: meant to
-// be driven from the simulation's control thread around parallel regions.
+// Accumulates wall-clock seconds per phase, phases numbered 0 .. count-1
+// (the simulation numbers them by its Phase enum).  Not thread-safe: meant
+// to be driven from the simulation's control thread around parallel
+// regions.
 //
 // Optional per-lane accounting (enable_lane_accumulation): the timers act as
 // the pool's LaneTimeSink while a phase Scope holds them attached, so each
@@ -27,8 +28,8 @@ class PhaseTimers : public LaneTimeSink {
  public:
   using Clock = std::chrono::steady_clock;
 
-  // Registers (or reuses) a phase and returns its id.
-  std::size_t phase_id(const std::string& name);
+  explicit PhaseTimers(std::size_t phases)
+      : seconds_(phases, 0.0), start_(phases) {}
 
   void start(std::size_t id) {
     start_[id] = Clock::now();
@@ -95,12 +96,11 @@ class PhaseTimers : public LaneTimeSink {
  private:
   static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
 
-  std::vector<std::string> names_;
   std::vector<double> seconds_;
   std::vector<Clock::time_point> start_;
   unsigned lanes_ = 0;
   std::size_t current_ = kNoPhase;
-  std::vector<double> lane_seconds_;  // names_.size() * lanes_, phase-major
+  std::vector<double> lane_seconds_;  // seconds_.size() * lanes_, phase-major
 };
 
 }  // namespace cmdsmc::cmdp

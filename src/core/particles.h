@@ -48,69 +48,64 @@ struct ParticleStore {
 
   std::size_t size() const { return x.size(); }
 
-  void resize(std::size_t n) {
-    x.resize(n);
-    y.resize(n);
-    if (has_z) z.resize(n);
-    ux.resize(n);
-    uy.resize(n);
-    uz.resize(n);
-    r0.resize(n);
-    r1.resize(n);
-    if (has_vib) {
-      v0.resize(n);
-      v1.resize(n);
+  // The record, listed once: calls fn(name, s.a, more.a...) for every
+  // active array a of `s` in checkpoint order.  `more` are stores with s's
+  // layout (a copy or swap partner).  A new field goes here and in
+  // mover_into; resize, copy_record, swap_arrays, the checkpoint and the
+  // audit's hash and NaN scan walk this list.
+  template <class Fn, class Store, class... More>
+  static void for_each_array(Fn&& fn, Store& s, More&... more) {
+    fn("x", s.x, more.x...);
+    fn("y", s.y, more.y...);
+    if (s.has_z) fn("z", s.z, more.z...);
+    fn("ux", s.ux, more.ux...);
+    fn("uy", s.uy, more.uy...);
+    fn("uz", s.uz, more.uz...);
+    fn("r0", s.r0, more.r0...);
+    fn("r1", s.r1, more.r1...);
+    if (s.has_vib) {
+      fn("v0", s.v0, more.v0...);
+      fn("v1", s.v1, more.v1...);
     }
-    if (has_weight) weight.resize(n, 1.0);
-    perm.resize(n);
-    cell.resize(n);
-    flags.resize(n);
-    id.resize(n);
+    if (s.has_weight) fn("weight", s.weight, more.weight...);
+    fn("perm", s.perm, more.perm...);
+    fn("cell", s.cell, more.cell...);
+    fn("flags", s.flags, more.flags...);
+    fn("id", s.id, more.id...);
   }
 
+  void resize(std::size_t n) {
+    // New records weigh 1; every other new entry is value-initialized.
+    if (has_weight) weight.resize(n, 1.0);
+    for_each_array([n](const char*, auto& a) { a.resize(n); }, *this);
+  }
+
+  // Appends one record with the given state; the vibrational DOF and the
+  // cell start at 0 and the id is the record's index.
   void push_back(Real px, Real py, Real pz, Real vx, Real vy, Real vz,
                  Real rot0, Real rot1, rng::PackedPerm p,
                  std::uint8_t flag = 0, double w = 1.0) {
-    x.push_back(px);
-    y.push_back(py);
-    if (has_z) z.push_back(pz);
-    ux.push_back(vx);
-    uy.push_back(vy);
-    uz.push_back(vz);
-    r0.push_back(rot0);
-    r1.push_back(rot1);
-    if (has_vib) {
-      v0.push_back(Real{});
-      v1.push_back(Real{});
-    }
-    if (has_weight) weight.push_back(w);
-    perm.push_back(p);
-    cell.push_back(0);
-    flags.push_back(flag);
-    id.push_back(static_cast<std::uint32_t>(id.size()));
+    const std::size_t i = size();
+    resize(i + 1);
+    x[i] = px;
+    y[i] = py;
+    if (has_z) z[i] = pz;
+    ux[i] = vx;
+    uy[i] = vy;
+    uz[i] = vz;
+    r0[i] = rot0;
+    r1[i] = rot1;
+    if (has_weight) weight[i] = w;
+    perm[i] = p;
+    flags[i] = flag;
+    id[i] = static_cast<std::uint32_t>(i);
   }
 
-  // Copies record `src` over record `dst` in every active array — the
-  // per-field enumeration compaction and cloning share (a new field has to
-  // be added here, in resize/push_back, mover_into and swap_arrays).
+  // Copies record `src` over record `dst` in every active array (the
+  // weight-balancing pass's clone).
   void copy_record(std::size_t dst, std::size_t src) {
-    x[dst] = x[src];
-    y[dst] = y[src];
-    if (has_z) z[dst] = z[src];
-    ux[dst] = ux[src];
-    uy[dst] = uy[src];
-    uz[dst] = uz[src];
-    r0[dst] = r0[src];
-    r1[dst] = r1[src];
-    if (has_vib) {
-      v0[dst] = v0[src];
-      v1[dst] = v1[src];
-    }
-    if (has_weight) weight[dst] = weight[src];
-    perm[dst] = perm[src];
-    cell[dst] = cell[src];
-    flags[dst] = flags[src];
-    id[dst] = id[src];
+    for_each_array([dst, src](const char*, auto& a) { a[dst] = a[src]; },
+                   *this);
   }
 
   // Sizes `scratch` like this store and returns move(src, dst), which copies
@@ -122,8 +117,10 @@ struct ParticleStore {
     scratch.has_vib = has_vib;
     scratch.has_weight = has_weight;
     scratch.resize(size());
-    // Raw pointers on both sides: the per-element flags (uint8) store would
-    // otherwise force the compiler to re-load every source vector pointer.
+    // The hot scatter spells the list out with raw pointers on both sides:
+    // through the vectors (as for_each_array reaches them), each per-element
+    // flags (uint8) store would force the compiler to re-load every data
+    // pointer.
     const Real* const px = x.data();
     const Real* const py = y.data();
     const Real* const pz = has_z ? z.data() : nullptr;
@@ -189,23 +186,8 @@ struct ParticleStore {
 
   // Exchanges every active array with scratch's.
   void swap_arrays(ParticleStore& scratch) {
-    x.swap(scratch.x);
-    y.swap(scratch.y);
-    if (has_z) z.swap(scratch.z);
-    ux.swap(scratch.ux);
-    uy.swap(scratch.uy);
-    uz.swap(scratch.uz);
-    r0.swap(scratch.r0);
-    r1.swap(scratch.r1);
-    if (has_vib) {
-      v0.swap(scratch.v0);
-      v1.swap(scratch.v1);
-    }
-    if (has_weight) weight.swap(scratch.weight);
-    perm.swap(scratch.perm);
-    cell.swap(scratch.cell);
-    flags.swap(scratch.flags);
-    id.swap(scratch.id);
+    for_each_array([](const char*, auto& a, auto& b) { a.swap(b); }, *this,
+                   scratch);
   }
 };
 

@@ -118,11 +118,6 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
   scratch_.has_vib = cfg_.vibrational;
   store_.has_weight = cfg_.axisymmetric;
   scratch_.has_weight = cfg_.axisymmetric;
-  phase_id_[kPhaseMove] = timers_.phase_id("move+bc");
-  phase_id_[kPhaseSort] = timers_.phase_id("sort");
-  phase_id_[kPhaseSelect] = timers_.phase_id("select");
-  phase_id_[kPhaseCollide] = timers_.phase_id("collide");
-  phase_id_[kPhaseSample] = timers_.phase_id("sample");
   if (!scene_.empty())
     surf_ = SurfaceSampler(scene_.total_segments(), pool_->size(),
                            grid_.is3d() ? grid_.nz : 1.0, cfg_.axisymmetric);
@@ -303,25 +298,25 @@ void Simulation<Real>::step() {
   // extra) otherwise.
   cmdp::ThreadPool* const tp = timers_.lanes() > 1 ? pool_ : nullptr;
   {
-    cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseMove], tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseMove, tp);
     phase_move_and_boundaries();
   }
   if (audited) auditor_->after_move(*this);
   {
-    cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseSort], tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseSort, tp);
     phase_sort();
   }
   if (audited) auditor_->after_sort(*this);
   {
     // Selection and collision are one fused pass (see
-    // phase_select_and_collide); the select timer stays registered so the
-    // Table A reporting keeps its slot, reading 0 since the fusion.
-    cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseCollide], tp);
+    // phase_select_and_collide); the select slot keeps its place in Table
+    // A, reading 0 since the fusion.
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseCollide, tp);
     phase_select_and_collide();
   }
   if (audited) auditor_->after_collide(*this);
   if (sampling_) {
-    cmdp::PhaseTimers::Scope t(timers_, phase_id_[kPhaseSample], tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseSample, tp);
     phase_sample();
   }
   if (audited) auditor_->end_step(*this);
@@ -344,7 +339,7 @@ void Simulation<Real>::begin_observed_step() {
   obs_wall0_ = surf_.events_total();
   // The timer snapshots feed the observer only, never the step.
   for (std::size_t p = 0; p < kPhaseCount; ++p)
-    obs_phase0_[p] = timers_.seconds(phase_id_[p]);  // determinism-ok: obs
+    obs_phase0_[p] = timers_.seconds(p);  // determinism-ok: obs
   obs_lane0_ = timers_.lane_seconds_table();  // determinism-ok: obs
 }
 
@@ -422,13 +417,13 @@ void Simulation<Real>::emit_step_stats() {
   s.step_seconds = 0.0;
   for (std::size_t p = 0; p < kPhaseCount; ++p) {
     const double dt =
-        timers_.seconds(phase_id_[p]) - obs_phase0_[p];  // determinism-ok: obs
+        timers_.seconds(p) - obs_phase0_[p];  // determinism-ok: obs
     s.phase_seconds[p] = dt;
     s.step_seconds += dt;
     double lane_max = 0.0;
     double lane_sum = 0.0;
     for (unsigned t = 0; t < lanes; ++t) {
-      const std::size_t idx = phase_id_[p] * lanes + t;
+      const std::size_t idx = p * lanes + t;
       const double lt =
           lane_now[idx] - (idx < obs_lane0_.size() ? obs_lane0_[idx] : 0.0);
       s.lane_seconds[p * lanes + t] = lt;
@@ -823,8 +818,7 @@ void Simulation<Real>::phase_sort() {
   // clones at the tail (the sort places them), merges retire their slot
   // under the reserved past-the-end key so the scatter parks them behind
   // the reservoir band, where they are truncated below.
-  const std::size_t dead =
-      cfg_.axisymmetric ? balance_weights(/*mark_dead_keys=*/true) : 0;
+  const std::size_t dead = cfg_.axisymmetric ? balance_weights() : 0;
   const std::size_t n = store_.size();
   // Keys were generated during the move (and fixed up by the injection
   // paths); the sort starts straight at the counting pass.
@@ -885,7 +879,7 @@ void Simulation<Real>::phase_sort() {
 }
 
 template <class Real>
-std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
+std::size_t Simulation<Real>::balance_weights() {
   const std::size_t n0 = store_.size();
   const std::uint32_t ncells = ncells_;
   const std::uint32_t dead_key = sort_key_bound() - 1;
@@ -928,7 +922,7 @@ std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
   const std::size_t total_clones = balance_clone_base_[nchunks];
   if (total_clones > 0) {
     store_.resize(n0 + total_clones);
-    if (mark_dead_keys) keys_.resize(n0 + total_clones);
+    keys_.resize(n0 + total_clones);
   }
   // Per-lane merge-candidate tables, epoch-tagged by chunk: a slot is live
   // only when its tag matches the chunk being walked, so stale entries from
@@ -978,8 +972,7 @@ std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
           for (int j = 1; j < k; ++j, ++slot) {
             store_.copy_record(slot, i);
             wp[slot] = part;
-            if (mark_dead_keys)
-              keys_[slot] = key_from(kp, slot, cellp[slot]);
+            keys_[slot] = key_from(kp, slot, cellp[slot]);
           }
         } else if (wi < 0.5 * wt) {
           // Outward migration thinned the weight: merge pairs within the
@@ -1054,7 +1047,7 @@ std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
       }
       wp[j] = ws;
       wp[i] = 0.0;
-      if (mark_dead_keys) keys_[i] = dead_key;
+      keys_[i] = dead_key;
       ++local_merged;
       // A still-light merged particle keeps waiting for the next partner
       // (within this chunk).
@@ -1068,29 +1061,6 @@ std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
   counters_.cloned += total_clones;
   counters_.merged += merged_total;
   return merged_total;
-}
-
-template <class Real>
-void Simulation<Real>::debug_rebalance() {
-  if (!cfg_.axisymmetric) return;
-  const std::size_t dead = balance_weights(/*mark_dead_keys=*/false);
-  if (dead == 0) return;
-  // Stable in-place compaction of the merged-away (weight 0) flow slots.
-  const std::size_t n = store_.size();
-  std::size_t dst = 0;
-  for (std::size_t src = 0; src < n; ++src) {
-    if (store_.cell[src] < ncells_ && store_.weight[src] == 0.0) continue;
-    if (dst != src) store_.copy_record(dst, src);
-    ++dst;
-  }
-  store_.resize(dst);
-  // Keep the weighted census coherent for callers that inspect it before
-  // the next sort recomputes it from the sorted runs.
-  cell_weight_.assign(ncells_, 0.0);
-  for (std::size_t i = 0; i < dst; ++i) {
-    const std::uint32_t c = store_.cell[i];
-    if (c < ncells_) cell_weight_[c] += store_.weight[i];
-  }
 }
 
 template <class Real>

@@ -128,7 +128,7 @@ class Simulation {
 
   // Phase wall-clock seconds (Table A) and their sum, for reports only.
   double phase_seconds(Phase p) const {
-    return timers_.seconds(phase_id_[p]);  // determinism-ok: reporting
+    return timers_.seconds(p);  // determinism-ok: reporting
   }
   double total_seconds() const { return timers_.total_seconds(); }
   cmdp::PhaseTimers& timers() { return timers_; }
@@ -175,12 +175,6 @@ class Simulation {
   double flow_weighted_mass() const;
   std::array<double, 3> flow_weighted_momentum() const;
   double flow_weighted_energy() const;
-
-  // Test hook: runs the axisymmetric weight-balancing pass (split/merge
-  // against each cell's target weight) outside the step pipeline and
-  // compacts the merged-away slots immediately, preserving order.  No-op in
-  // planar runs.  Counters `cloned` / `merged` record the actions.
-  void debug_rebalance();
 
   // --- Checkpoint/restart support (core/checkpoint.*) ---
   // Everything beyond the particle store a resumed run needs to reproduce
@@ -230,11 +224,10 @@ class Simulation {
   // and merges pairs of particles lighter than half the target within the
   // same cell (mass- and momentum-conserving velocity average, the lost
   // relative kinetic energy folded into the rotational DOF so total energy
-  // is exact too).  Merged-away slots get `mark_dead_keys` ? a past-the-end
-  // sort key (the scatter moves them behind the reservoir band where
-  // phase_sort truncates them) : weight 0 only (debug_rebalance compacts).
-  // Returns the merged-away count.
-  std::size_t balance_weights(bool mark_dead_keys);
+  // is exact too).  Merged-away slots get weight 0 and a past-the-end sort
+  // key: the scatter moves them behind the reservoir band, where phase_sort
+  // truncates them.  Returns the merged-away count.
+  std::size_t balance_weights();
   // One fused traversal: candidate pairing + acceptance + collision.  Pairs
   // are disjoint, so fusing is bit-identical to the historical two-pass
   // select-then-collide while skipping the accept-flag round trip.
@@ -325,8 +318,7 @@ class Simulation {
   bool surface_sampling_ = false;
   std::int64_t step_ = 0;
   SimCounters counters_;
-  cmdp::PhaseTimers timers_;
-  std::array<std::size_t, kPhaseCount> phase_id_{};
+  cmdp::PhaseTimers timers_{kPhaseCount};
 
   // In-situ invariant auditor (nullptr: no audit hooks run).
   audit::Auditor<Real>* auditor_ = nullptr;

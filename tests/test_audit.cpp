@@ -320,13 +320,16 @@ TEST(AuditCheckpoint, HashIsBitSensitive) {
 }
 
 TEST(AuditCheckpoint, RoundTripPreservesHash) {
-  auto store = tiny_store<double>(64, /*weighted=*/true);
+  cmdp::ThreadPool pool(2);
+  core::Simulation<double> sim(small_axi_config(), &pool);
+  sim.run(3);
   const std::string path = "audit_roundtrip_test.ckpt";
-  core::save_checkpoint(path, store);
-  core::ParticleStore<double> restored;
-  core::load_checkpoint(path, restored);
+  core::save_checkpoint(path, sim);
+  const core::Checkpoint<double> restored = core::read_checkpoint<double>(path);
   std::remove(path.c_str());
-  EXPECT_EQ(audit::hash_store(store), audit::hash_store(restored));
+  EXPECT_TRUE(restored.store.has_weight);
+  EXPECT_EQ(audit::hash_store(restored.store),
+            audit::hash_store(sim.particles()));
 }
 
 // --- Auditor plumbing -----------------------------------------------------------

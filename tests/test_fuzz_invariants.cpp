@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/auditor.h"
 #include "cli/args.h"
 #include "core/simulation.h"
 #include "fleet/sweep.h"
@@ -14,6 +15,7 @@
 #include "rng/rng.h"
 #include "scenario/scenario.h"
 
+namespace audit = cmdsmc::audit;
 namespace core = cmdsmc::core;
 namespace cmdp = cmdsmc::cmdp;
 namespace geom = cmdsmc::geom;
@@ -217,8 +219,9 @@ TEST(SimulationFuzz, WeightBalancingConservesMassMomentumEnergyAnySeed) {
   // *exactly* (not just in expectation, the way Russian-roulette destruction
   // would): splits are identical copies, merges average velocities with the
   // lost relative kinetic energy folded into rotation.  Scramble the weights
-  // with arbitrary factors and rebalance — for any seed the weighted mass,
-  // momentum and energy must come back unchanged.
+  // with arbitrary factors and run one audited step — for any seed the
+  // auditor's per-cell mass, momentum and energy tables across the sort
+  // phase (balance pass + scatter) must agree to 1e-12.
   for (std::uint64_t seed : {1ull, 99ull, 0xDEADull, 31415926ull, 777777ull}) {
     core::SimConfig cfg;
     cfg.nx = 24;
@@ -239,21 +242,24 @@ TEST(SimulationFuzz, WeightBalancingConservesMassMomentumEnergyAnySeed) {
       if (s.flags[i] & core::ParticleStore<double>::kReservoirFlag) continue;
       s.weight[i] *= 0.1 + 7.9 * g.next_double();  // way out of band
     }
-    const double mass = sim.flow_weighted_mass();
-    const auto mom = sim.flow_weighted_momentum();
-    const double energy = sim.flow_weighted_energy();
     const std::uint64_t actions =
         sim.counters().cloned + sim.counters().merged;
-    sim.debug_rebalance();
+    audit::AuditOptions opt;
+    opt.fatal = false;
+    opt.tol = 1e-12;
+    audit::Auditor<double> auditor(opt);
+    sim.set_auditor(&auditor);
+    sim.step();
+    sim.set_auditor(nullptr);
     EXPECT_GT(sim.counters().cloned + sim.counters().merged, actions)
         << "seed " << seed << ": scrambled weights must trigger balancing";
-    EXPECT_NEAR(sim.flow_weighted_mass() / mass, 1.0, 1e-12) << seed;
-    const auto mom2 = sim.flow_weighted_momentum();
-    const double scale = std::abs(mom[0]) + std::abs(mom[1]) +
-                         std::abs(mom[2]) + 1.0;
-    for (int k = 0; k < 3; ++k)
-      EXPECT_NEAR(mom2[k], mom[k], 1e-9 * scale) << seed << " axis " << k;
-    EXPECT_NEAR(sim.flow_weighted_energy() / energy, 1.0, 1e-12) << seed;
+    EXPECT_TRUE(auditor.violations().empty())
+        << seed << ": "
+        << audit::format_violation(auditor.violations().front());
+    EXPECT_GT(auditor.counters()
+                  .checks[static_cast<int>(audit::Family::kConservation)],
+              0u)
+        << seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <type_traits>
 #include <vector>
@@ -125,4 +126,55 @@ TEST(ParticleStore, ReorderAppliesPermutationToEveryArray) {
 
 TEST(ParticleStore, ReorderWorksForFixed32) {
   check_scatter_sorted<Fixed32>(2, 5000);
+}
+
+TEST(ParticleStore, ScatterMovesEveryListedArray) {
+  // mover_into spells the record out by hand; every array for_each_array
+  // lists must move with it, byte for byte.
+  using Store = core::ParticleStore<double>;
+  cmdp::ThreadPool pool(2);
+  const std::size_t n = 1000;
+  Store s;
+  s.has_z = true;
+  s.has_vib = true;
+  s.has_weight = true;
+  s.resize(n);
+  unsigned salt = 0;
+  Store::for_each_array(
+      [&salt](const char*, auto& a) {
+        auto* b = reinterpret_cast<unsigned char*>(a.data());
+        ++salt;
+        for (std::size_t k = 0; k < a.size() * sizeof(a[0]); ++k)
+          b[k] = static_cast<unsigned char>(k * 131 + salt * 17);
+      },
+      s);
+  std::vector<std::uint32_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = static_cast<std::uint32_t>((i * 7919) % 64);
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return keys[a] < keys[b];
+                   });
+  Store expect = s;
+  Store::for_each_array(
+      [&order](const char*, auto& e, const auto& src) {
+        for (std::size_t dst = 0; dst < order.size(); ++dst)
+          e[dst] = src[order[dst]];
+      },
+      expect, s);
+  Store scratch;
+  s.scatter_sorted(pool, keys, cmdp::counting_sort_plan(pool, keys, 64),
+                   scratch);
+  int arrays = 0;
+  Store::for_each_array(
+      [&arrays](const char* name, const auto& a, const auto& b) {
+        ++arrays;
+        ASSERT_EQ(a.size(), b.size()) << name;
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0)
+            << name;
+      },
+      s, expect);
+  EXPECT_EQ(arrays, 15);
 }
