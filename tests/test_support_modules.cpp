@@ -12,7 +12,6 @@
 #include "core/simulation.h"
 #include "core/steady.h"
 #include "io/vtk.h"
-#include "rng/rng.h"
 
 namespace cmdp = cmdsmc::cmdp;
 namespace core = cmdsmc::core;
