@@ -76,8 +76,6 @@ struct AuditOptions {
   // Checkpoint round-trip cadence in *audited* steps (0 = off).  Kept
   // sparse by default: it serializes the whole particle store.
   std::int64_t checkpoint_every = 16;
-  // Directory for the round-trip scratch file ("" = std temp dir).
-  std::string scratch_dir;
   // Throw AuditFailure on the first violation (production mode).  Tests
   // flip this off to count every violation a corruption produces.
   bool fatal = true;

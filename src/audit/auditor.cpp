@@ -1,11 +1,9 @@
 #include "audit/auditor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cstdio>
 #include <cstring>
-#include <filesystem>
+#include <sstream>
 #include <type_traits>
 
 #include "core/checkpoint.h"
@@ -13,8 +11,6 @@
 namespace cmdsmc::audit {
 
 namespace {
-
-std::atomic<std::uint64_t> g_scratch_serial{0};
 
 bool same_bits(std::span<const double> a, std::span<const double> b) {
   return std::ranges::equal(a, b, [](double x, double y) {
@@ -53,22 +49,6 @@ void Auditor<Real>::settle(Family family, std::uint64_t checks,
   if (opt_.fatal) throw AuditFailure(fresh.front());
   for (Violation& v : fresh) log_.push_back(std::move(v));
   fresh.clear();
-}
-
-template <class Real>
-std::string Auditor<Real>::scratch_path() {
-  if (scratch_file_.empty()) {
-    namespace fs = std::filesystem;
-    const fs::path dir = opt_.scratch_dir.empty()
-                             ? fs::temp_directory_path()
-                             : fs::path(opt_.scratch_dir);
-    const std::uint64_t serial =
-        g_scratch_serial.fetch_add(1, std::memory_order_relaxed);
-    scratch_file_ = (dir / ("cmdsmc-audit-roundtrip-" +
-                            std::to_string(serial) + ".ckpt"))
-                        .string();
-  }
-  return scratch_file_;
 }
 
 template <class Real>
@@ -207,13 +187,16 @@ void Auditor<Real>::end_step(const core::Simulation<Real>& sim) {
   ++audited_steps_;
   if (opt_.checkpoint_every > 0 &&
       audited_steps_ % opt_.checkpoint_every == 0) {
-    // The round trip runs through the format runs resume from: the file
-    // must give back the live store, geometry hash and resume state.
-    const std::string path = scratch_path();
+    // The round trip runs through the format runs resume from, in memory:
+    // the bytes must give back the live store, geometry hash and resume
+    // state.
     std::string lost;
     try {
-      core::save_checkpoint(path, sim);
-      const core::Checkpoint<Real> ck = core::read_checkpoint<Real>(path);
+      std::stringstream bytes(std::ios::in | std::ios::out |
+                              std::ios::binary);
+      core::save_checkpoint(bytes, sim);
+      const core::Checkpoint<Real> ck =
+          core::read_checkpoint<Real>(bytes, "the audit round trip");
       if (hash_store(ck.store) != hash_store(sim.particles()))
         lost = "the particle store";
       else if (ck.geometry_hash != sim.geometry_hash())
@@ -224,7 +207,6 @@ void Auditor<Real>::end_step(const core::Simulation<Real>& sim) {
     } catch (const std::exception& e) {
       lost = std::string("the file (") + e.what() + ")";
     }
-    std::remove(path.c_str());
     if (!lost.empty())
       fresh.push_back({Family::kCheckpoint, step, "checkpoint", -1,
                        "save/restore round trip lost " + lost});

@@ -17,9 +17,9 @@
 //                  only in expectation, by design)
 //   end_step       exact particle ledger against the counter deltas,
 //                  field/surface accumulator hygiene, and the sparse
-//                  checkpoint round trip (save_checkpoint -> read_checkpoint
-//                  -> store hash, geometry hash and resume state compared
-//                  with the live simulation)
+//                  checkpoint round trip through memory (save_checkpoint ->
+//                  read_checkpoint -> store hash, geometry hash and resume
+//                  state compared with the live simulation)
 //
 // Checks run serially on the control thread between phases: audit mode
 // trades speed for certainty, and serial accumulation keeps every reported
@@ -65,7 +65,6 @@ class Auditor {
   // first fresh violation (fatal mode) or appends them to the log.
   void settle(Family family, std::uint64_t checks,
               std::vector<Violation>& fresh);
-  std::string scratch_path();
 
   AuditOptions opt_;
   AuditCounters counters_;
@@ -80,7 +79,6 @@ class Auditor {
   std::array<double, 3> momentum_post_sort_{};
   double mass_post_sort_ = 0.0;
   std::int64_t audited_steps_ = 0;
-  std::string scratch_file_;  // lazily derived round-trip path
 };
 
 extern template class Auditor<double>;

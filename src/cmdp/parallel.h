@@ -2,8 +2,6 @@
 // primitives of the paper, executed as statically partitioned loops.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -30,34 +28,6 @@ inline Range lane_range(std::size_t n, unsigned tid, unsigned nlanes) {
 
 // Below this many elements the fork-join overhead dominates; run serially.
 inline constexpr std::size_t kSerialCutoff = 4096;
-
-// Per-lane partial values of reductions.  Up to kInlineLanes the
-// partials live on the stack, so the per-call heap allocation the primitives
-// used to make disappears on any sane machine.
-inline constexpr unsigned kInlineLanes = 64;
-
-template <class T>
-class LanePartials {
- public:
-  LanePartials(unsigned lanes, const T& init) {
-    if (lanes <= kInlineLanes) {
-      p_ = stack_.data();
-      std::fill(p_, p_ + lanes, init);
-    } else {
-      heap_.assign(lanes, init);
-      p_ = heap_.data();
-    }
-  }
-  // p_ may point into stack_, so copying/moving would dangle.
-  LanePartials(const LanePartials&) = delete;
-  LanePartials& operator=(const LanePartials&) = delete;
-  T& operator[](std::size_t i) { return p_[i]; }
-
- private:
-  std::array<T, kInlineLanes> stack_;
-  std::vector<T> heap_;
-  T* p_ = nullptr;
-};
 
 // f(i) for each i in [0, n).
 template <class F>
@@ -94,7 +64,7 @@ T parallel_reduce(ThreadPool& pool, std::size_t n, T identity, F&& f,
     return acc;
   }
   const unsigned lanes = pool.size();
-  LanePartials<T> partial(lanes, identity);
+  std::vector<T> partial(lanes, identity);
   pool.parallel([&](unsigned tid) {
     const Range r = lane_range(n, tid, pool.size());
     T acc = identity;

@@ -12,6 +12,7 @@ ThreadPool::ThreadPool(unsigned n) {
     if (n == 0) n = 1;
   }
   nthreads_ = n;
+  lane_seconds_.assign(nthreads_, 0.0);
   workers_.reserve(nthreads_ - 1);
   for (unsigned tid = 1; tid < nthreads_; ++tid) {
     workers_.emplace_back([this, tid] { worker_loop(tid); });
@@ -28,28 +29,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::parallel(const std::function<void(unsigned)>& fn) {
-  if (lane_sink_ == nullptr) {
-    dispatch(fn);
-    return;
-  }
-  // Wrap the job so every lane clocks its own busy time.  The wrapper is
-  // what gets published to the workers, so the measurement covers exactly
-  // the lane's time inside the region (not the fork/join waits).
-  LaneTimeSink* const sink = lane_sink_;
-  const std::function<void(unsigned)> timed = [&fn, sink](unsigned tid) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn(tid);
-    sink->record_lane_time(
-        tid, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count());
-  };
-  dispatch(timed);
-}
-
-void ThreadPool::dispatch(const std::function<void(unsigned)>& fn) {
+  ++regions_;
   if (nthreads_ == 1) {
-    fn(0);
+    run_lane(fn, 0);
     return;
   }
   {
@@ -59,10 +41,19 @@ void ThreadPool::dispatch(const std::function<void(unsigned)>& fn) {
     pending_ = nthreads_ - 1;
   }
   cv_start_.notify_all();
-  fn(0);
+  run_lane(fn, 0);
   std::unique_lock<std::mutex> lk(m_);
   cv_done_.wait(lk, [this] { return pending_ == 0; });
   job_ = nullptr;
+}
+
+void ThreadPool::run_lane(const std::function<void(unsigned)>& fn,
+                          unsigned tid) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn(tid);
+  lane_seconds_[tid] +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 void ThreadPool::worker_loop(unsigned tid) {
@@ -76,7 +67,7 @@ void ThreadPool::worker_loop(unsigned tid) {
       seen = generation_;
       fn = job_;
     }
-    (*fn)(tid);
+    run_lane(*fn, tid);
     {
       std::lock_guard<std::mutex> lk(m_);
       if (--pending_ == 0) cv_done_.notify_one();

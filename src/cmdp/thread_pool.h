@@ -19,21 +19,14 @@
 
 namespace cmdsmc::cmdp {
 
-// Receiver for per-lane busy time measured inside parallel regions (see
-// ThreadPool::set_lane_time_sink).  Called concurrently from every lane,
-// each with its own tid — implementations must be safe for distinct-tid
-// concurrent calls (e.g. tid-indexed slots), but never see two calls with
-// the same tid at once.
-class LaneTimeSink {
- public:
-  virtual ~LaneTimeSink() = default;
-  virtual void record_lane_time(unsigned tid, double seconds) = 0;
-};
-
 // Persistent fork-join pool.  The calling thread participates as lane 0, so a
 // pool of size N owns N-1 worker threads.  `parallel(fn)` runs `fn(tid)` on
 // every lane and blocks until all lanes finish.  The pool is not reentrant:
 // `fn` must not itself call `parallel` on the same pool.
+//
+// The pool is also the lane clock: every region adds each lane's busy time
+// inside it to that lane's slot of lane_seconds() and counts itself in
+// regions().  The phase timers (cmdp/timers.h) difference those clocks.
 class ThreadPool {
  public:
   // n == 0 selects std::thread::hardware_concurrency().
@@ -48,12 +41,12 @@ class ThreadPool {
   // Runs fn(tid) for tid in [0, size()); blocks until every lane returns.
   void parallel(const std::function<void(unsigned)>& fn);
 
-  // While set, every parallel() measures each lane's wall time inside the
-  // region and reports it to the sink — the per-lane phase accounting the
-  // telemetry subsystem feeds on.  Control-thread only (like parallel()
-  // itself); pass nullptr to detach.  Costs two clock reads per lane per
-  // region when attached, nothing when not.
-  void set_lane_time_sink(LaneTimeSink* sink) { lane_sink_ = sink; }
+  // Cumulative busy seconds of each lane inside parallel regions, indexed by
+  // tid.  Lane t writes slot t before the join, so the control thread reads
+  // every slot safely between regions.  Measured time: for telemetry only.
+  const std::vector<double>& lane_seconds() const { return lane_seconds_; }
+  // Parallel regions opened so far.
+  std::uint64_t regions() const { return regions_; }
 
   // Scratch buffers shared by the cmdp primitives running on this pool.
   // Safe because the pool is not reentrant: two primitives never execute
@@ -66,10 +59,12 @@ class ThreadPool {
 
  private:
   void worker_loop(unsigned tid);
-  void dispatch(const std::function<void(unsigned)>& fn);
+  // Runs lane tid's share of a region and adds its busy time to the clock.
+  void run_lane(const std::function<void(unsigned)>& fn, unsigned tid);
 
   unsigned nthreads_;
-  LaneTimeSink* lane_sink_ = nullptr;
+  std::vector<double> lane_seconds_;
+  std::uint64_t regions_ = 0;
   std::vector<std::thread> workers_;
   Workspace workspace_;
 

@@ -4,11 +4,6 @@
 
 namespace cmdsmc::cmdp {
 
-void PhaseTimers::enable_lane_accumulation(unsigned lanes) {
-  lanes_ = lanes;
-  lane_seconds_.assign(seconds_.size() * lanes_, 0.0);
-}
-
 double PhaseTimers::total_seconds() const {
   double total = 0.0;
   for (double s : seconds_) total += s;

@@ -2,6 +2,7 @@
 // breakdown (move 14% / sort 27% / select 20% / collide 39%).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <vector>
@@ -15,32 +16,44 @@ namespace cmdsmc::cmdp {
 // to be driven from the simulation's control thread around parallel
 // regions.
 //
-// Optional per-lane accounting (enable_lane_accumulation): the timers act as
-// the pool's LaneTimeSink while a phase Scope holds them attached, so each
-// lane's busy seconds inside the phase's parallel regions accumulate under
-// (phase, lane).  That per-(phase, lane) table is the load-imbalance input
-// the telemetry subsystem emits per step.  Serial work (and the serial
-// fallbacks of the cmdp primitives) never enters a parallel region, so with
-// more than one lane it shows up in the aggregate but in no lane; with
-// exactly one lane, stop() credits lane 0 with the full aggregate so lane 0
-// equals the phase total by construction.
-class PhaseTimers : public LaneTimeSink {
+// Per-lane accounting: each phase also accumulates, per lane of `pool`, the
+// growth of that lane's clock (ThreadPool::lane_seconds) between start() and
+// stop() — each lane's busy seconds inside the phase's parallel regions.
+// That per-(phase, lane) table is the load-imbalance input the telemetry
+// subsystem emits per step.  Serial work (and the serial fallbacks of the
+// cmdp primitives) never enters a parallel region, so with more than one
+// lane it shows up in the aggregate but in no lane; with exactly one lane,
+// stop() credits lane 0 with the full aggregate so lane 0 equals the phase
+// total by construction.
+class PhaseTimers {
  public:
   using Clock = std::chrono::steady_clock;
 
-  explicit PhaseTimers(std::size_t phases)
-      : seconds_(phases, 0.0), start_(phases) {}
+  PhaseTimers(std::size_t phases, const ThreadPool& pool)
+      : pool_(&pool),
+        seconds_(phases, 0.0),
+        start_(phases),
+        lane_start_(phases * pool.size(), 0.0),
+        lane_seconds_(phases * pool.size(), 0.0) {}
 
   void start(std::size_t id) {
     start_[id] = Clock::now();
-    current_ = id;
+    const std::vector<double>& clock = pool_->lane_seconds();
+    std::copy(clock.begin(), clock.end(),
+              lane_start_.begin() + static_cast<std::ptrdiff_t>(id * lanes()));
   }
   void stop(std::size_t id) {
     const double dt =
         std::chrono::duration<double>(Clock::now() - start_[id]).count();
     seconds_[id] += dt;
-    if (lanes_ == 1) lane_seconds_[id] += dt;
-    current_ = kNoPhase;
+    const unsigned lanes = this->lanes();
+    if (lanes == 1) {
+      lane_seconds_[id] += dt;
+      return;
+    }
+    const std::vector<double>& clock = pool_->lane_seconds();
+    for (unsigned t = 0; t < lanes; ++t)
+      lane_seconds_[id * lanes + t] += clock[t] - lane_start_[id * lanes + t];
   }
 
   double seconds(std::size_t id) const { return seconds_[id]; }
@@ -48,59 +61,32 @@ class PhaseTimers : public LaneTimeSink {
 
   void reset();
 
-  // --- Per-lane accumulation ---
-  // Sizes the (phase, lane) table and starts routing lane time into it;
-  // 0 lanes disables.  Safe to call repeatedly (resets the table).
-  void enable_lane_accumulation(unsigned lanes);
-  void disable_lane_accumulation() { enable_lane_accumulation(0); }
-  unsigned lanes() const { return lanes_; }
+  unsigned lanes() const { return pool_->size(); }
   // Cumulative busy seconds per (phase, lane), phase-major
-  // ([id * lanes() + tid]); empty when off.
+  // ([id * lanes() + tid]).
   const std::vector<double>& lane_seconds_table() const {
     return lane_seconds_;
   }
 
-  // LaneTimeSink: credits `seconds` to (current phase, tid).  Called
-  // concurrently by the pool's lanes while a pool-attached Scope is open;
-  // distinct tids write distinct slots.
-  void record_lane_time(unsigned tid, double seconds) override {
-    if (current_ != kNoPhase) lane_seconds_[current_ * lanes_ + tid] += seconds;
-  }
-
-  // RAII scope guard.  With a pool it also attaches these timers as the
-  // pool's lane-time sink for the duration of the phase (only when per-lane
-  // accumulation is on with more than one lane — a one-lane table is filled
-  // exactly by stop() instead).
+  // RAII scope guard.
   class Scope {
    public:
-    Scope(PhaseTimers& t, std::size_t id, ThreadPool* pool) : t_(t), id_(id) {
-      if (pool != nullptr && t_.lanes() > 1) {
-        pool_ = pool;
-        pool_->set_lane_time_sink(&t_);
-      }
-      t_.start(id_);
-    }
-    ~Scope() {
-      t_.stop(id_);
-      if (pool_ != nullptr) pool_->set_lane_time_sink(nullptr);
-    }
+    Scope(PhaseTimers& t, std::size_t id) : t_(t), id_(id) { t_.start(id_); }
+    ~Scope() { t_.stop(id_); }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
     PhaseTimers& t_;
     std::size_t id_;
-    ThreadPool* pool_ = nullptr;
   };
 
  private:
-  static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
-
+  const ThreadPool* pool_;
   std::vector<double> seconds_;
   std::vector<Clock::time_point> start_;
-  unsigned lanes_ = 0;
-  std::size_t current_ = kNoPhase;
-  std::vector<double> lane_seconds_;  // seconds_.size() * lanes_, phase-major
+  std::vector<double> lane_start_;    // pool lane clocks at start(), per phase
+  std::vector<double> lane_seconds_;  // seconds_.size() * lanes(), phase-major
 };
 
 }  // namespace cmdsmc::cmdp

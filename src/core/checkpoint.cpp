@@ -107,9 +107,7 @@ void read_store(std::istream& is, ParticleStore<Real>& s) {
 }  // namespace
 
 template <class Real>
-void save_checkpoint(const std::string& path, const Simulation<Real>& sim) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("checkpoint: cannot open " + path);
+void save_checkpoint(std::ostream& os, const Simulation<Real>& sim) {
   write_pod(os, kMagic);
   write_pod(os, scalar_tag<Real>());
   write_pod(os, sim.geometry_hash());
@@ -123,21 +121,26 @@ void save_checkpoint(const std::string& path, const Simulation<Real>& sim) {
   write_pod(os, static_cast<std::int32_t>(st.surface_samples));
   write_vec(os, st.surface_sums);
   write_store(os, sim.particles());
+}
+
+template <class Real>
+void save_checkpoint(const std::string& path, const Simulation<Real>& sim) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os) throw std::runtime_error("checkpoint: cannot open " + path);
+  save_checkpoint(os, sim);
   if (!os) throw std::runtime_error("checkpoint: write failed " + path);
 }
 
 template <class Real>
-Checkpoint<Real> read_checkpoint(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
+Checkpoint<Real> read_checkpoint(std::istream& is, const std::string& name) {
   std::uint64_t magic = 0;
   std::uint32_t tag = 0;
   is.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   is.read(reinterpret_cast<char*>(&tag), sizeof(tag));
   if (!is || magic != kMagic)
-    throw std::runtime_error("checkpoint: bad magic in " + path);
+    throw std::runtime_error("checkpoint: bad magic in " + name);
   if (tag != scalar_tag<Real>())
-    throw std::runtime_error("checkpoint: scalar type mismatch in " + path);
+    throw std::runtime_error("checkpoint: scalar type mismatch in " + name);
   Checkpoint<Real> ck;
   auto& st = ck.state;
   std::int32_t samples = 0;
@@ -153,7 +156,17 @@ Checkpoint<Real> read_checkpoint(const std::string& path) {
   st.surface_samples = samples;
   read_vec(is, st.surface_sums);
   read_store(is, ck.store);
+  if (const std::uint64_t extra = bytes_left(is); extra != 0)
+    throw std::runtime_error("checkpoint: " + std::to_string(extra) +
+                             " bytes after the last array in " + name);
   return ck;
+}
+
+template <class Real>
+Checkpoint<Real> read_checkpoint(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("checkpoint: cannot open " + path);
+  return read_checkpoint<Real>(is, path);
 }
 
 template <class Real>
@@ -172,12 +185,19 @@ void load_checkpoint(const std::string& path, Simulation<Real>& sim) {
   }
 }
 
+template void save_checkpoint<double>(std::ostream&, const Simulation<double>&);
 template void save_checkpoint<double>(const std::string&,
                                       const Simulation<double>&);
+template Checkpoint<double> read_checkpoint<double>(std::istream&,
+                                                    const std::string&);
 template Checkpoint<double> read_checkpoint<double>(const std::string&);
 template void load_checkpoint<double>(const std::string&, Simulation<double>&);
 template void save_checkpoint<fixedpoint::Fixed32>(
+    std::ostream&, const Simulation<fixedpoint::Fixed32>&);
+template void save_checkpoint<fixedpoint::Fixed32>(
     const std::string&, const Simulation<fixedpoint::Fixed32>&);
+template Checkpoint<fixedpoint::Fixed32> read_checkpoint<fixedpoint::Fixed32>(
+    std::istream&, const std::string&);
 template Checkpoint<fixedpoint::Fixed32> read_checkpoint<fixedpoint::Fixed32>(
     const std::string&);
 template void load_checkpoint<fixedpoint::Fixed32>(

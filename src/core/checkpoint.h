@@ -16,23 +16,27 @@
 // count, the SimCounters record, field sample count + sums, surface sample
 // count + sums, then the store's three layout flags and its arrays in
 // ParticleStore::for_each_array order, each as a length plus raw entries.
+// The file ends there; a reader refuses any byte after the last array.
 // Each layout change takes a new magic, so an older file is refused with a
 // bad-magic error rather than misread.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 #include "core/particles.h"
 #include "core/simulation.h"
-#include "fixedpoint/fixed32.h"
 
 namespace cmdsmc::core {
 
 // Writes a full simulation checkpoint (store + resume state + geometry
-// hash).  Throws std::runtime_error on I/O failure.
+// hash) to a file, or to a binary stream (the caller checks its state).
+// Throws std::runtime_error on I/O failure.
 template <class Real>
 void save_checkpoint(const std::string& path, const Simulation<Real>& sim);
+template <class Real>
+void save_checkpoint(std::ostream& os, const Simulation<Real>& sim);
 
 // Everything a checkpoint file holds.
 template <class Real>
@@ -42,12 +46,15 @@ struct Checkpoint {
   ParticleStore<Real> store;
 };
 
-// Reads a checkpoint written by save_checkpoint with the same Real type.
+// Reads a checkpoint written by save_checkpoint with the same Real type,
+// from a file or from a seekable binary stream (`name` labels its errors).
 // Throws std::runtime_error (message starting "checkpoint:") on I/O
-// failure, a bad magic, a scalar-type mismatch or a truncated or
+// failure, a bad magic, a scalar-type mismatch, or a truncated, padded or
 // inconsistent file.
 template <class Real>
 Checkpoint<Real> read_checkpoint(const std::string& path);
+template <class Real>
+Checkpoint<Real> read_checkpoint(std::istream& is, const std::string& name);
 
 // Restores a checkpoint into `sim`, which must have been constructed with
 // the *same configuration* (the geometry hash is verified).  Sampling
@@ -57,17 +64,6 @@ Checkpoint<Real> read_checkpoint(const std::string& path);
 template <class Real>
 void load_checkpoint(const std::string& path, Simulation<Real>& sim);
 
-extern template void save_checkpoint<double>(const std::string&,
-                                             const Simulation<double>&);
-extern template Checkpoint<double> read_checkpoint<double>(
-    const std::string&);
-extern template void load_checkpoint<double>(const std::string&,
-                                             Simulation<double>&);
-extern template void save_checkpoint<fixedpoint::Fixed32>(
-    const std::string&, const Simulation<fixedpoint::Fixed32>&);
-extern template Checkpoint<fixedpoint::Fixed32>
-read_checkpoint<fixedpoint::Fixed32>(const std::string&);
-extern template void load_checkpoint<fixedpoint::Fixed32>(
-    const std::string&, Simulation<fixedpoint::Fixed32>&);
+// checkpoint.cpp instantiates every form above for double and Fixed32.
 
 }  // namespace cmdsmc::core

@@ -128,6 +128,18 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
 }
 
 template <class Real>
+geom::BoundaryConfig Simulation<Real>::boundary_config() const {
+  geom::BoundaryConfig bc;
+  bc.x_max = grid_.nx;
+  bc.y_max = grid_.ny;
+  bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
+  bc.scene = &scene_;
+  bc.closed = cfg_.closed_box;
+  bc.axisymmetric = cfg_.axisymmetric;
+  return bc;
+}
+
+template <class Real>
 void Simulation<Real>::rebuild_interior_mask() {
   // The interior mask is geometry-only and step-invariant: the plunger's
   // whole sweep range (trigger plus one step of advance) counts as
@@ -136,11 +148,7 @@ void Simulation<Real>::rebuild_interior_mask() {
   // checkpoint restore are the only such points today) — a stale mask next
   // to a newly added body would let particles skip enforce_boundaries at
   // its surface.
-  geom::BoundaryConfig bc;
-  bc.x_max = grid_.nx;
-  bc.y_max = grid_.ny;
-  bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
-  bc.scene = &scene_;
+  const geom::BoundaryConfig bc = boundary_config();
   const bool plunger_active =
       !cfg_.closed_box && cfg_.upstream == geom::UpstreamMode::kPlunger;
   const double reach = plunger_active ? cfg_.plunger_trigger + u_inf_ : 0.0;
@@ -293,17 +301,13 @@ void Simulation<Real>::step() {
   // the hook sequence.
   const bool audited = auditor_ != nullptr && auditor_->wants(step_);
   if (audited) auditor_->begin_step(*this);
-  // With per-lane timing on, each phase scope attaches the timers as the
-  // pool's lane-time sink; tp stays null (and the scopes cost nothing
-  // extra) otherwise.
-  cmdp::ThreadPool* const tp = timers_.lanes() > 1 ? pool_ : nullptr;
   {
-    cmdp::PhaseTimers::Scope t(timers_, kPhaseMove, tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseMove);
     phase_move_and_boundaries();
   }
   if (audited) auditor_->after_move(*this);
   {
-    cmdp::PhaseTimers::Scope t(timers_, kPhaseSort, tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseSort);
     phase_sort();
   }
   if (audited) auditor_->after_sort(*this);
@@ -311,26 +315,17 @@ void Simulation<Real>::step() {
     // Selection and collision are one fused pass (see
     // phase_select_and_collide); the select slot keeps its place in Table
     // A, reading 0 since the fusion.
-    cmdp::PhaseTimers::Scope t(timers_, kPhaseCollide, tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseCollide);
     phase_select_and_collide();
   }
   if (audited) auditor_->after_collide(*this);
   if (sampling_) {
-    cmdp::PhaseTimers::Scope t(timers_, kPhaseSample, tp);
+    cmdp::PhaseTimers::Scope t(timers_, kPhaseSample);
     phase_sample();
   }
   if (audited) auditor_->end_step(*this);
   if (observe) emit_step_stats();
   ++step_;
-}
-
-template <class Real>
-void Simulation<Real>::set_step_observer(obs::StepObserver* observer) {
-  observer_ = observer;
-  if (observer_ != nullptr)
-    timers_.enable_lane_accumulation(pool_->size());
-  else
-    timers_.disable_lane_accumulation();
 }
 
 template <class Real>
@@ -424,9 +419,8 @@ void Simulation<Real>::emit_step_stats() {
     double lane_sum = 0.0;
     for (unsigned t = 0; t < lanes; ++t) {
       const std::size_t idx = p * lanes + t;
-      const double lt =
-          lane_now[idx] - (idx < obs_lane0_.size() ? obs_lane0_[idx] : 0.0);
-      s.lane_seconds[p * lanes + t] = lt;
+      const double lt = lane_now[idx] - obs_lane0_[idx];
+      s.lane_seconds[idx] = lt;
       lane_max = lt > lane_max ? lt : lane_max;
       lane_sum += lt;
     }
@@ -490,15 +484,10 @@ void Simulation<Real>::phase_move_and_boundaries() {
   // refilled behind the restarted face after the move loop.
   const double void_width = plunger_active ? plunger_.advance() : 0.0;
 
-  geom::BoundaryConfig bc;
-  bc.x_max = grid_.nx;
-  bc.y_max = grid_.ny;
-  bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
-  bc.scene = &scene_;
+  geom::BoundaryConfig bc = boundary_config();
   bc.plunger_x = plunger_.x + void_width;  // pre-withdrawal face position
   bc.plunger_speed = u_inf_;
   bc.plunger_active = plunger_active;
-  bc.closed = cfg_.closed_box;
 
   const bool need_bc_bits = scene_.any_diffuse();
   const bool record_surface = surface_sampling_ && !scene_.empty();

@@ -91,7 +91,6 @@ class Simulation {
 
   // Surface-flux sampling (requires a body scene; no-op otherwise).
   void set_surface_sampling(bool on) { surface_sampling_ = on; }
-  void reset_surface_sampling() { surf_.reset(); }
   // Time-averaged per-segment Cp/Cf/heat-flux and integrated Cd/Cl, summed
   // over the whole scene (for a one-body scene: exactly that body's stats).
   SurfaceStats surface() const;
@@ -137,11 +136,10 @@ class Simulation {
   // Attaches a per-step observer: every step the observer wants, the
   // simulation fills a StepStats (census, counter deltas, occupancy spread,
   // per-phase and per-lane seconds) and calls on_step before advancing the
-  // step counter.  Attaching also switches the phase timers to per-lane
-  // accumulation sized to the pool; nullptr detaches and switches it back
-  // off.  With no observer attached the step loop pays a single pointer
-  // test.  The observer must outlive the simulation or be detached first.
-  void set_step_observer(obs::StepObserver* observer);
+  // step counter; nullptr detaches.  With no observer attached the step
+  // loop pays a single pointer test.  The observer must outlive the
+  // simulation or be detached first.
+  void set_step_observer(obs::StepObserver* observer) { observer_ = observer; }
 
   // --- Invariant audit (audit/auditor.h) ---
   // Attaches the in-situ auditor: every step its cadence selects runs the
@@ -267,6 +265,8 @@ class Simulation {
   std::uint64_t dirty_state_bits(std::size_t i) const;
   std::uint32_t reservoir_pair_cell(std::uint64_t i) const;
 
+  // The run's walls, without the plunger's per-step face.
+  geom::BoundaryConfig boundary_config() const;
   void rebuild_interior_mask();
 
   // Telemetry bracketing for one observed step: snapshot the cumulative
@@ -318,7 +318,7 @@ class Simulation {
   bool surface_sampling_ = false;
   std::int64_t step_ = 0;
   SimCounters counters_;
-  cmdp::PhaseTimers timers_{kPhaseCount};
+  cmdp::PhaseTimers timers_{kPhaseCount, *pool_};
 
   // In-situ invariant auditor (nullptr: no audit hooks run).
   audit::Auditor<Real>* auditor_ = nullptr;

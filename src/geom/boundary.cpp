@@ -232,7 +232,8 @@ std::vector<std::uint8_t> interior_cell_mask(const Grid& grid,
         // at most d per axis stays strictly inside (ix-d, ix+1+d) x ... —
         // interior iff that expanded box clears every boundary.
         bool ok = ix - d >= upstream_reach && ix + 1 + d <= bc.x_max &&
-                  iy - d >= 0.0 && iy + 1 + d <= bc.y_max;
+                  (bc.axisymmetric || iy - d >= 0.0) &&
+                  iy + 1 + d <= bc.y_max;
         if (bc.z_max > 0.0)
           ok = ok && iz - d >= 0.0 && iz + 1 + d <= bc.z_max;
         if (ok && has_bodies)

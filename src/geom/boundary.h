@@ -107,6 +107,10 @@ struct BoundaryConfig {
   // Closed-box mode: the downstream plane becomes a specular wall instead of
   // a sink (used by conservation tests and the baseline comparisons).
   bool closed = false;
+  // Axisymmetric (z-r) run: y is the radius, and the move keeps it >= 0
+  // (hypot(y + uy, uz)), so no particle reaches the floor at r = 0 and
+  // interior_cell_mask leaves the axis open.
+  bool axisymmetric = false;
 };
 
 // Applies every wall/body interaction to a tentatively moved particle.
@@ -128,7 +132,8 @@ bool enforce_boundaries(ParticleState& p, const BoundaryConfig& bc,
 // `upstream_reach` is the largest x the upstream hard wall can occupy: the
 // plunger trigger plus one step of sweep for the plunger mode, 0 for the
 // fixed wall / soft source.  Cells adjacent to any boundary (closer than
-// max_disp) are never masked; the mask is geometry-only and step-invariant.
+// max_disp) are never masked; the axis of an axisymmetric run is no
+// boundary.  The mask is geometry-only and step-invariant.
 std::vector<std::uint8_t> interior_cell_mask(const Grid& grid,
                                              const BoundaryConfig& bc,
                                              double upstream_reach,

@@ -8,19 +8,6 @@ namespace cmdsmc::io {
 
 namespace {
 
-// The fused reporting order: the zero select slot folds into collide.
-struct FusedPhase {
-  const char* name;
-  int a;
-  int b;  // -1 when the entry is a single slot
-};
-constexpr FusedPhase kFused[4] = {
-    {"move", obs::StepStats::kMove, -1},
-    {"sort", obs::StepStats::kSort, -1},
-    {"select_collide", obs::StepStats::kSelect, obs::StepStats::kCollide},
-    {"sample", obs::StepStats::kSample, -1},
-};
-
 void append(std::string& out, const char* fmt, ...) {
   char buf[256];
   va_list args;
@@ -57,31 +44,27 @@ void telemetry_json_line(const obs::StepStats& s, std::string& out) {
     append(out, ",\"audit\":{\"checks\":%" PRIu64 ",\"violations\":%" PRIu64
                 "}",
            s.audit_checks, s.audit_violations);
+  const auto& phases = obs::StepStats::kReported;
   out += ",\"phase_seconds\":{";
-  for (int f = 0; f < 4; ++f) {
-    double sec = s.phase_seconds[kFused[f].a];
-    if (kFused[f].b >= 0) sec += s.phase_seconds[kFused[f].b];
-    append(out, "%s\"%s\":%.9g", f == 0 ? "" : ",", kFused[f].name, sec);
-  }
+  for (int f = 0; f < 4; ++f)
+    append(out, "%s\"%s\":%.9g", f == 0 ? "" : ",", phases[f].name,
+           s.seconds(phases[f]));
   append(out, ",\"step\":%.9g}", s.step_seconds);
   append(out, ",\"lanes\":%u", s.lanes);
   out += ",\"imbalance\":{";
   for (int f = 0; f < 4; ++f) {
     // The fused pair reports the collide slot's gauge (select records no
     // time of its own).
-    const int slot = kFused[f].b >= 0 ? kFused[f].b : kFused[f].a;
-    append(out, "%s\"%s\":%.4g", f == 0 ? "" : ",", kFused[f].name,
+    const int slot = phases[f].b >= 0 ? phases[f].b : phases[f].a;
+    append(out, "%s\"%s\":%.4g", f == 0 ? "" : ",", phases[f].name,
            s.imbalance[slot]);
   }
   out += '}';
   out += ",\"lane_seconds\":{";
   for (int f = 0; f < 4; ++f) {
-    append(out, "%s\"%s\":[", f == 0 ? "" : ",", kFused[f].name);
-    for (unsigned t = 0; t < s.lanes; ++t) {
-      double sec = s.lane_second(kFused[f].a, t);
-      if (kFused[f].b >= 0) sec += s.lane_second(kFused[f].b, t);
-      append(out, "%s%.9g", t == 0 ? "" : ",", sec);
-    }
+    append(out, "%s\"%s\":[", f == 0 ? "" : ",", phases[f].name);
+    for (unsigned t = 0; t < s.lanes; ++t)
+      append(out, "%s%.9g", t == 0 ? "" : ",", s.lane_second(phases[f], t));
     out += ']';
   }
   out += '}';

@@ -19,6 +19,13 @@
 
 namespace cmdsmc::obs {
 
+// One reported phase: a name over one or two phase slots.
+struct ReportedPhase {
+  const char* name;
+  int a;
+  int b;  // second slot, or -1
+};
+
 struct StepStats {
   // Phase slots, in Table A order.  Slot kSelect exists for layout compat
   // with Simulation::Phase; it reads 0 since the select/collide fusion and
@@ -26,13 +33,15 @@ struct StepStats {
   static constexpr int kPhases = 5;
   static constexpr int kMove = 0, kSort = 1, kSelect = 2, kCollide = 3,
                        kSample = 4;
-  // Display names of the phase slots (shared by the jsonl and trace
-  // writers, so the two outputs cannot drift apart).
-  static const char* phase_name(int p) {
-    static const char* names[kPhases] = {"move", "sort", "select",
-                                         "select_collide", "sample"};
-    return names[p];
-  }
+  // The four reported phases, in Table A order: the zero select slot folds
+  // into collide.  The JSONL and trace writers both read this table, so
+  // the two outputs cannot drift apart.
+  static constexpr ReportedPhase kReported[4] = {
+      {"move", kMove, -1},
+      {"sort", kSort, -1},
+      {"select_collide", kSelect, kCollide},
+      {"sample", kSample, -1},
+  };
 
   // 0-based index of the step these stats describe (the step just executed).
   std::int64_t step = 0;
@@ -107,6 +116,17 @@ struct StepStats {
 
   double lane_second(int phase, unsigned tid) const {
     return lane_seconds[static_cast<std::size_t>(phase) * lanes + tid];
+  }
+  // A reported phase's seconds, its slots summed.
+  double seconds(const ReportedPhase& f) const {
+    double sec = phase_seconds[static_cast<std::size_t>(f.a)];
+    if (f.b >= 0) sec += phase_seconds[static_cast<std::size_t>(f.b)];
+    return sec;
+  }
+  double lane_second(const ReportedPhase& f, unsigned tid) const {
+    double sec = lane_second(f.a, tid);
+    if (f.b >= 0) sec += lane_second(f.b, tid);
+    return sec;
   }
 };
 

@@ -15,20 +15,6 @@ namespace {
 constexpr int kControlTrack = 0;
 constexpr int kLaneTrackBase = 100;
 
-// Fused reporting pairs (select's zero slot folds into collide), matching
-// the JSONL schema.
-struct FusedPhase {
-  const char* name;
-  int a;
-  int b;
-};
-constexpr FusedPhase kFused[4] = {
-    {"move", StepStats::kMove, -1},
-    {"sort", StepStats::kSort, -1},
-    {"select_collide", StepStats::kSelect, StepStats::kCollide},
-    {"sample", StepStats::kSample, -1},
-};
-
 }  // namespace
 
 TelemetrySession::TelemetrySession(TelemetryOptions opts)
@@ -90,16 +76,14 @@ void TelemetrySession::write_trace(const StepStats& s) {
   // The cursor is rebuilt from the recorded step durations, so the trace
   // timeline is the run's busy time over the recorded steps (gaps from the
   // cadence are compressed out).
-  for (const FusedPhase& f : kFused) {
-    double dur = s.phase_seconds[f.a];
-    if (f.b >= 0) dur += s.phase_seconds[f.b];
+  for (const ReportedPhase& f : StepStats::kReported) {
+    const double dur = s.seconds(f);
     if (dur <= 0.0) continue;
     const double dur_us = dur * 1e6;
     trace_.span(f.name, trace_ts_us_, dur_us, kControlTrack);
     if (s.lanes > 1) {
       for (unsigned t = 0; t < s.lanes; ++t) {
-        double lt = s.lane_second(f.a, t);
-        if (f.b >= 0) lt += s.lane_second(f.b, t);
+        const double lt = s.lane_second(f, t);
         if (lt <= 0.0) continue;
         trace_.span(f.name, trace_ts_us_, lt * 1e6,
                     kLaneTrackBase + static_cast<int>(t));

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
 
@@ -401,6 +402,29 @@ TEST(AuditedRun, AxisymmetricRunIsClean) {
   EXPECT_TRUE(auditor.violations().empty())
       << audit::format_violation(auditor.violations().front());
   EXPECT_GT(auditor.counters().total_checks(), 0u);
+}
+
+TEST(AuditedRun, CheckpointRoundTripNeedsNoTempDirectory) {
+  // The checkpoint round trip stays in memory: with TMPDIR naming no
+  // directory, an audited run still round-trips every step, cleanly.
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string saved = tmpdir != nullptr ? tmpdir : "";
+  ::setenv("TMPDIR", "/nonexistent/cmdsmc-audit-tmp", 1);
+  audit::AuditOptions opt;
+  opt.fatal = false;
+  opt.checkpoint_every = 1;
+  audit::Auditor<double> auditor(opt);
+  cmdp::ThreadPool pool(1);
+  core::Simulation<double> sim(small_wedge_config(), &pool);
+  sim.set_auditor(&auditor);
+  EXPECT_NO_THROW(sim.run(4));
+  if (tmpdir != nullptr)
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  else
+    ::unsetenv("TMPDIR");
+  const auto ckpt = static_cast<std::size_t>(audit::Family::kCheckpoint);
+  EXPECT_EQ(auditor.counters().checks[ckpt], 4u);
+  EXPECT_EQ(auditor.counters().total_violations(), 0u);
 }
 
 TEST(AuditedRun, CadenceSkipsSteps) {

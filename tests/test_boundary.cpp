@@ -342,3 +342,69 @@ TEST(InteriorMask, ThreeDMasksZFaces) {
   }
   EXPECT_TRUE(mask[grid.index(16, 8, 6)]);
 }
+
+TEST(InteriorMask, AxisymmetricAxisIsNotAWall) {
+  // In a z-r run y is the radius and the move keeps it >= 0, so the axis
+  // row is masked wherever no body or wall is in reach; in the planar
+  // tunnel the floor is a wall and row 0 stays on the slow path.
+  const geom::Grid grid{48, 24, 0};
+  const geom::Body sphere = geom::Body::Cylinder(16.0, 0.0, 4.0, 16);
+  const geom::Scene scene(std::vector<geom::Body>{sphere});
+  geom::BoundaryConfig planar;
+  planar.x_max = 48.0;
+  planar.y_max = 24.0;
+  planar.scene = &scene;
+  geom::BoundaryConfig axi = planar;
+  axi.axisymmetric = true;
+  const double d = 2.0;
+  const auto planar_mask = geom::interior_cell_mask(grid, planar, 0.0, d);
+  const auto axi_mask = geom::interior_cell_mask(grid, axi, 0.0, d);
+  EXPECT_FALSE(planar_mask[grid.index(34, 0)]);
+  EXPECT_TRUE(axi_mask[grid.index(34, 0)]);   // wake, on the axis
+  EXPECT_FALSE(axi_mask[grid.index(16, 0)]);  // inside the sphere
+  EXPECT_FALSE(axi_mask[grid.index(21, 0)]);  // one cell off its lee face
+  EXPECT_FALSE(axi_mask[grid.index(0, 0)]);   // upstream wall
+  // Out of the floor's reach (rows 0-2 at d = 2 plus the rounding margin)
+  // the two masks agree.
+  for (int iy = 3; iy < grid.ny; ++iy)
+    for (int ix = 0; ix < grid.nx; ++ix)
+      EXPECT_EQ(axi_mask[grid.index(ix, iy)], planar_mask[grid.index(ix, iy)])
+          << "cell " << ix << "," << iy;
+
+  // Moved the axisymmetric way (3D step off the plane, rotated back to the
+  // radius) at any speed under the bound, a particle from a masked row-0
+  // cell needs no boundary enforcement.
+  const double v = 0.999 * d;
+  const double s = 0.7 * d;  // hypot(s, s) < d
+  int checked = 0;
+  for (int ix = 0; ix < grid.nx; ++ix) {
+    if (!axi_mask[grid.index(ix, 0)]) continue;
+    for (double fx : {0.0, 0.5, 0.999}) {
+      for (double y : {0.0, 0.5, 0.999}) {
+        for (double ux : {-v, 0.0, v}) {
+          for (double uy : {-s, 0.0, s}) {
+            for (double uz : {-s, 0.0, s}) {
+              const double ry = y + uy;
+              const double r = std::hypot(ry, uz);
+              geom::ParticleState p;
+              p.x = ix + fx + ux;
+              p.y = r;
+              p.ux = ux;
+              p.uy = r > 0.0 ? (uy * ry + uz * uz) / r : uy;
+              p.uz = r > 0.0 ? (uz * ry - uy * uz) / r : uz;
+              const geom::ParticleState before = p;
+              ASSERT_TRUE(geom::enforce_boundaries(p, axi, 123u));
+              ASSERT_EQ(p.x, before.x) << "cell " << ix << ",0";
+              ASSERT_EQ(p.y, before.y);
+              ASSERT_EQ(p.ux, before.ux);
+              ASSERT_EQ(p.uy, before.uy);
+              ASSERT_EQ(p.uz, before.uz);
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}

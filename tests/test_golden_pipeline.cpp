@@ -509,20 +509,6 @@ TEST(GoldenPipeline, WideKeySpaceMatchesRadixPipeline) {
   EXPECT_GT(sim.sort_counts().size() * 256u, 1u << 21);
 }
 
-namespace {
-
-// Counts the pool's parallel regions: every region reports lane 0's busy
-// time exactly once, from the calling thread.
-class RegionCounter : public cmdp::LaneTimeSink {
- public:
-  void record_lane_time(unsigned tid, double /*seconds*/) override {
-    if (tid == 0) ++regions;
-  }
-  int regions = 0;
-};
-
-}  // namespace
-
 // A sampled step forks the pool once per phase: move, sort, collide and
 // sample.  No phase may add fork-join regions of its own (each costs a
 // wake-up and a barrier on every lane), and the sort must keep its lanes
@@ -534,12 +520,9 @@ TEST(GoldenPipeline, SampledStepOpensOneRegionPerPhase) {
   core::SimulationD sim(spec.build_config(), &pool);
   sim.run(5);
   sim.set_sampling(true);
-  RegionCounter counter;
-  pool.set_lane_time_sink(&counter);
   for (int s = 0; s < 10; ++s) {
-    const int before = counter.regions;
+    const std::uint64_t before = pool.regions();
     sim.step();
-    EXPECT_EQ(counter.regions - before, 4) << "step " << sim.step_index();
+    EXPECT_EQ(pool.regions() - before, 4u) << "step " << sim.step_index();
   }
-  pool.set_lane_time_sink(nullptr);
 }

@@ -187,7 +187,7 @@ TEST(StepStats, LaneSecondsSingleThreadEqualsAggregate) {
     for (int p = 0; p < obs::StepStats::kPhases; ++p) {
       // With one lane the timer credits lane 0 with the full aggregate.
       EXPECT_DOUBLE_EQ(s.lane_second(p, 0), s.phase_seconds[p])
-          << obs::StepStats::phase_name(p);
+          << "slot " << p;
     }
   }
 }
@@ -215,7 +215,7 @@ TEST(StepStats, LaneSecondsMultiThreadBoundedByAggregate) {
       // times the lane count (plus timer-resolution slack).
       EXPECT_LE(lane_sum,
                 s.phase_seconds[p] * s.lanes * (1.0 + 0.25) + 1e-4)
-          << obs::StepStats::phase_name(p);
+          << "slot " << p;
       // A lane cannot be busy longer than the phase's wall time (slack for
       // clock resolution).
       EXPECT_LE(lane_max, s.phase_seconds[p] + 1e-3);
@@ -361,6 +361,34 @@ TEST(TelemetrySession, WritesMonotoneStreamAndTrace) {
   EXPECT_NE(trace.find("thread_name"), std::string::npos);
   std::remove("session_test.jsonl");
   std::remove("session_trace.json");
+}
+
+TEST(TelemetrySession, ProgressHeartbeatReportsFirstAndLastStep) {
+  // The heartbeat prints the first step at once and the last expected step
+  // always, whatever the one-second throttle skipped in between.
+  std::ostringstream heartbeat;
+  obs::TelemetryOptions topt;
+  topt.progress = true;
+  topt.expected_steps = 6;
+  topt.progress_stream = &heartbeat;
+  cmdp::ThreadPool pool(2);
+  core::SimulationD sim(small_cfg(), &pool);
+  obs::TelemetrySession session(std::move(topt));
+  sim.set_step_observer(&session);
+  sim.run(6);
+  sim.set_step_observer(nullptr);
+  session.finish();
+
+  std::vector<std::string> lines;
+  std::istringstream in(heartbeat.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_GE(lines.size(), 2u) << heartbeat.str();
+  EXPECT_EQ(lines.front().rfind("[telemetry] step 0/5", 0), 0u)
+      << lines.front();
+  EXPECT_EQ(lines.back().rfind("[telemetry] step 5/5", 0), 0u)
+      << lines.back();
+  EXPECT_NE(lines.back().find(" us/particle  eta "), std::string::npos)
+      << lines.back();
 }
 
 // Checkpoint-aware telemetry: run A straight through; run B to the midpoint,

@@ -512,6 +512,51 @@ TEST(Checkpoint, EveryTruncationIsRefused) {
   EXPECT_EQ(target.particles().id, id0);
 }
 
+TEST(Checkpoint, TrailingBytesAreRefused) {
+  // A checkpoint ends after its last array.  The same file with bytes
+  // appended is refused with an error naming the checkpoint, and the
+  // target simulation keeps its step index; the unpadded file still loads.
+  const std::string full = testing::TempDir() + "/cmdsmc_trail_full.bin";
+  const std::string path = testing::TempDir() + "/cmdsmc_trail.bin";
+  cmdp::ThreadPool pool(2);
+  for (const core::SimConfig& cfg :
+       {pin_wedge_cfg(), pin_duct_cfg(), pin_sphere_cfg()}) {
+    core::SimulationD src(cfg, &pool);
+    src.run(3);
+    core::save_checkpoint(full, src);
+    std::string bytes;
+    {
+      std::ifstream is(full, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(is),
+                   std::istreambuf_iterator<char>());
+    }
+    for (const std::size_t extra : {std::size_t{1}, std::size_t{16}}) {
+      {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << bytes << std::string(extra, '\x5a');
+      }
+      core::SimulationD target(cfg, &pool);
+      try {
+        core::load_checkpoint(path, target);
+        ADD_FAILURE() << extra << " appended bytes accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_EQ(msg.rfind("checkpoint:", 0), 0u) << msg;
+        EXPECT_NE(msg.find(std::to_string(extra) +
+                           " bytes after the last array"),
+                  std::string::npos)
+            << msg;
+      }
+      EXPECT_EQ(target.step_index(), 0);
+    }
+    core::SimulationD target(cfg, &pool);
+    EXPECT_NO_THROW(core::load_checkpoint(full, target));
+    EXPECT_EQ(target.step_index(), 3);
+  }
+  std::remove(full.c_str());
+  std::remove(path.c_str());
+}
+
 TEST(SteadyDetector, DetectsPlateauAfterTransient) {
   core::SteadyDetector det(20, 0.01, 2);
   int step = 0;

@@ -21,7 +21,8 @@ This lint enforces the bans that keep that property machine-checked:
       lanes are also nondeterministic)
   the step itself (src/core, src/physics, src/rng) additionally:
     - reads of measured time: a phase timer (`.seconds(`,
-      `lane_seconds_table(`) or a std::chrono clock.  Clocks may feed
+      `lane_seconds_table(`), the pool's lane clock (`lane_seconds(`) or a
+      std::chrono clock.  Clocks may feed
       telemetry, never a decision the step takes: state that follows the
       clock (a cost model, a schedule) differs from run to run even when
       the physics does not.  The telemetry snapshots carry waivers.
@@ -74,8 +75,8 @@ HOT_BANS = [
 CLOCK_BANS = [
     (re.compile(r"(\.|->)seconds\s*\("),
      "phase timer read in the step; measured time may feed telemetry only"),
-    (re.compile(r"\blane_seconds_table\s*\("),
-     "per-lane timer read in the step; measured time may feed telemetry only"),
+    (re.compile(r"\blane_seconds(_table)?\s*\("),
+     "per-lane clock read in the step; measured time may feed telemetry only"),
     (re.compile(r"\b(steady|system|high_resolution)_clock\b"),
      "clock read in the step; measured time may feed telemetry only"),
 ]
