@@ -12,7 +12,9 @@ Usage:
                    [--append TRAJECTORY.jsonl] [--label LABEL]
     check_bench.py --scaling BENCH_scaling.json [--min-efficiency 0.8]
 
-The gate metric is `usec_per_particle_step`.  The baseline is measured at
+The gate metric is `usec_per_particle_step`.  The run's `peak_rss_mb`
+(the process's VmHWM) is printed beside it and travels with the appended
+trajectory; it is reported, not gated.  The baseline is measured at
 tiny CI scale (CMDSMC_PPC=4 CMDSMC_STEADY_STEPS=60); refresh it with
     CMDSMC_PPC=4 CMDSMC_STEADY_STEPS=60 ./build/perf_pipeline && \
         cp BENCH_pipeline.json bench/baselines/BENCH_pipeline.baseline.json
@@ -130,6 +132,10 @@ def main() -> int:
           f"ratio={ratio:.3f} limit={limit:.3f} "
           f"(threads {cur.get('threads')} vs {base.get('threads')}, "
           f"particles {cur.get('particles')} vs {base.get('particles')})")
+    rss = cur.get("peak_rss_mb")
+    print(f"check_bench: peak_rss_mb current="
+          f"{'n/a' if rss is None else format(float(rss), '.1f')} "
+          f"(reported, not gated)")
 
     # Per-particle time at tiny scale is only comparable at equal thread
     # counts (parallel overhead dominates otherwise) — the workflow pins

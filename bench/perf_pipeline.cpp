@@ -3,8 +3,9 @@
 // Runs the paper's wedge wind tunnel (scaled by the usual CMDSMC_* env
 // knobs) through the fused step pipeline and writes BENCH_pipeline.json to
 // the working directory: usec/particle/step, per-phase seconds and shares,
-// thread and particle counts.  CI uploads the file as an artifact so the
-// perf trajectory is tracked across PRs instead of asserted in prose.
+// thread and particle counts, and the process's peak resident set.  CI
+// uploads the file as an artifact so the perf trajectory is tracked across
+// PRs instead of asserted in prose.
 //
 // CMDSMC_TELEMETRY=<path> (and optionally CMDSMC_TRACE=<path>) attach a
 // full TelemetrySession for the timed steps — the telemetry-on leg of the
@@ -12,11 +13,28 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <string>
 
 #include "bench_common.h"
 #include "cmdp/thread_pool.h"
 #include "obs/telemetry.h"
+
+namespace {
+
+// High-water resident set of this process (VmHWM) in MB, read as the
+// benchmark suite reads it; -1 where /proc/self/status has no VmHWM.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0)
+      return std::stod(line.substr(6)) * 1024.0 / 1e6;
+  return -1.0;
+}
+
+}  // namespace
 
 int main() {
   using namespace cmdsmc;
@@ -68,6 +86,7 @@ int main() {
   const double total = sim.total_seconds();
   const double usec_per =
       1e6 * wall_seconds / (static_cast<double>(sim.flow_count()) * steps);
+  const double rss_mb = peak_rss_mb();
   const S::Phase phases[4] = {S::kPhaseMove, S::kPhaseSort, S::kPhaseSelect,
                               S::kPhaseCollide};
   const char* keys[4] = {"move_bc", "sort", "select", "collide"};
@@ -75,6 +94,7 @@ int main() {
   std::printf("perf_pipeline: %u threads, %zu particles, %d steps\n",
               pool.size(), sim.total_count(), steps);
   bench::print_kv("usec/particle/step", usec_per);
+  bench::print_kv("peak RSS [MB]", rss_mb);
   if (telemetry) bench::print_kv("telemetry overhead [%]", overhead_percent);
   for (int k = 0; k < 4; ++k)
     bench::print_kv(std::string(keys[k]) + " share [%]",
@@ -97,6 +117,7 @@ int main() {
   std::fprintf(f, "  \"total_seconds\": %.6f,\n", total);
   std::fprintf(f, "  \"wall_seconds\": %.6f,\n", wall_seconds);
   std::fprintf(f, "  \"usec_per_particle_step\": %.6f,\n", usec_per);
+  if (rss_mb >= 0.0) std::fprintf(f, "  \"peak_rss_mb\": %.3f,\n", rss_mb);
   std::fprintf(f, "  \"phases\": {");
   for (int k = 0; k < 4; ++k) {
     const double sec = sim.phase_seconds(phases[k]);

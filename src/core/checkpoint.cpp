@@ -40,8 +40,8 @@ void read_pod(std::istream& is, T& v) {
   if (!is) throw std::runtime_error("checkpoint: truncated header");
 }
 
-template <class T>
-void write_vec(std::ostream& os, const std::vector<T>& v) {
+template <class T, class Alloc>
+void write_vec(std::ostream& os, const std::vector<T, Alloc>& v) {
   const std::uint64_t n = v.size();
   os.write(reinterpret_cast<const char*>(&n), sizeof(n));
   os.write(reinterpret_cast<const char*>(v.data()),
@@ -62,8 +62,8 @@ std::uint64_t bytes_left(std::istream& is) {
 // The length field comes from the file, so it is checked against the bytes
 // the file still holds before anything is allocated: a corrupt length is a
 // refusal, never a multi-GiB allocation.
-template <class T>
-void read_vec(std::istream& is, std::vector<T>& v) {
+template <class T, class Alloc>
+void read_vec(std::istream& is, std::vector<T, Alloc>& v) {
   std::uint64_t n = 0;
   read_pod(is, n);
   if (n > bytes_left(is) / sizeof(T))

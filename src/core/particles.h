@@ -11,34 +11,40 @@
 #include <span>
 #include <vector>
 
+#include "cmdp/page_allocator.h"
 #include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
 #include "rng/permutation.h"
 
 namespace cmdsmc::core {
 
+// A per-particle array: whole pages from the OS, so a store that grows past
+// its capacity unmaps its old copy at once (cmdp/page_allocator.h).
+template <class T>
+using Array = std::vector<T, cmdp::PageAllocator<T>>;
+
 template <class Real>
 struct ParticleStore {
   // Physical state.
-  std::vector<Real> x, y, z;  // z used only in 3D runs (kept empty in 2D)
-  std::vector<Real> ux, uy, uz;
-  std::vector<Real> r0, r1;
+  Array<Real> x, y, z;  // z used only in 3D runs (kept empty in 2D)
+  Array<Real> ux, uy, uz;
+  Array<Real> r0, r1;
   // Vibrational "velocities" (2 DOF harmonic oscillator), allocated only
   // when the vibrational extension is enabled.
-  std::vector<Real> v0, v1;
+  Array<Real> v0, v1;
   // Radial statistical weight (axisymmetric runs only): how many
   // molecule-units this simulator represents.  Always double — the weight is
   // bookkeeping, not physical state, so it does not follow the fixed-point
   // engine.
-  std::vector<double> weight;
+  Array<double> weight;
   // Computational state.
-  std::vector<rng::PackedPerm> perm;
-  std::vector<std::uint32_t> cell;
+  Array<rng::PackedPerm> perm;
+  Array<std::uint32_t> cell;
   // Bit 0: particle is parked in the reservoir (not part of the flow).
-  std::vector<std::uint8_t> flags;
+  Array<std::uint8_t> flags;
   // Persistent particle identity (survives sorting) for tracking and
   // pair-correlation diagnostics.
-  std::vector<std::uint32_t> id;
+  Array<std::uint32_t> id;
 
   bool has_z = false;
   bool has_vib = false;
@@ -78,27 +84,6 @@ struct ParticleStore {
     // New records weigh 1; every other new entry is value-initialized.
     if (has_weight) weight.resize(n, 1.0);
     for_each_array([n](const char*, auto& a) { a.resize(n); }, *this);
-  }
-
-  // Appends one record with the given state; the vibrational DOF and the
-  // cell start at 0 and the id is the record's index.
-  void push_back(Real px, Real py, Real pz, Real vx, Real vy, Real vz,
-                 Real rot0, Real rot1, rng::PackedPerm p,
-                 std::uint8_t flag = 0, double w = 1.0) {
-    const std::size_t i = size();
-    resize(i + 1);
-    x[i] = px;
-    y[i] = py;
-    if (has_z) z[i] = pz;
-    ux[i] = vx;
-    uy[i] = vy;
-    uz[i] = vz;
-    r0[i] = rot0;
-    r1[i] = rot1;
-    if (has_weight) weight[i] = w;
-    perm[i] = p;
-    flags[i] = flag;
-    id[i] = static_cast<std::uint32_t>(i);
   }
 
   // Copies record `src` over record `dst` in every active array (the

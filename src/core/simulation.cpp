@@ -752,29 +752,34 @@ void Simulation<Real>::inject_void(double width, double x_offset,
   counters_.injected += k;
   if (need > k) {
     // Reservoir ran dry: synthesize the remainder directly (costly path the
-    // reservoir design exists to avoid; counted for diagnostics).
-    rng::SplitMix64 g(rng::hash4(cfg_.seed, store_.size(),
+    // reservoir design exists to avoid; counted for diagnostics).  One resize
+    // makes room for every new record and leaves its flags at 0.
+    rng::SplitMix64 g(rng::hash4(cfg_.seed, n,
                                  static_cast<std::uint64_t>(step_),
                                  kSaltInject));
-    for (std::size_t j = k; j < need; ++j) {
+    store_.resize(n + (need - k));
+    keys_.resize(n + (need - k));
+    for (std::size_t i = n; i < store_.size(); ++i) {
       const double x = x_offset + g.next_double() * width;
       const double y = g.next_double() * ny;
       const double z = grid_.is3d() ? g.next_double() * nz : 0.0;
       const Velocity5 v =
           gaussian_freestream(cfg_.sigma, u_inf_, g.next_u64());
-      store_.push_back(N::from_double(x), N::from_double(y),
-                       N::from_double(z), N::from_double(v.v[0]),
-                       N::from_double(v.v[1]), N::from_double(v.v[2]),
-                       N::from_double(v.v[3]), N::from_double(v.v[4]),
-                       rng::random_perm(g), 0);
-      if (cfg_.vibrational)
-        draw_vibration(store_.size() - 1, g, /*rectangular=*/false);
-      store_.cell.back() = grid_.index(static_cast<int>(x),
-                                       static_cast<int>(y),
-                                       static_cast<int>(z));
-      if (cfg_.axisymmetric)
-        store_.weight.back() = cell_volume_[store_.cell.back()];
-      keys_.push_back(sort_key_for(store_.size() - 1));
+      store_.x[i] = N::from_double(x);
+      store_.y[i] = N::from_double(y);
+      if (store_.has_z) store_.z[i] = N::from_double(z);
+      store_.ux[i] = N::from_double(v.v[0]);
+      store_.uy[i] = N::from_double(v.v[1]);
+      store_.uz[i] = N::from_double(v.v[2]);
+      store_.r0[i] = N::from_double(v.v[3]);
+      store_.r1[i] = N::from_double(v.v[4]);
+      store_.perm[i] = rng::random_perm(g);
+      if (cfg_.vibrational) draw_vibration(i, g, /*rectangular=*/false);
+      store_.id[i] = static_cast<std::uint32_t>(i);
+      store_.cell[i] = grid_.index(static_cast<int>(x), static_cast<int>(y),
+                                   static_cast<int>(z));
+      if (cfg_.axisymmetric) store_.weight[i] = cell_volume_[store_.cell[i]];
+      keys_[i] = sort_key_for(i);
     }
     counters_.synthesized += need - k;
     counters_.injected += need - k;

@@ -53,8 +53,10 @@ struct SimCounters {
   std::uint64_t reservoir_collisions = 0;
   std::uint64_t removed = 0;      // particles removed through the sink
   std::uint64_t injected = 0;     // particles injected from the reservoir
-  std::uint64_t synthesized = 0;  // fallback Gaussian injections (reservoir
-                                  // was empty); 0 in a healthy run
+  // Refill particles drawn fresh from the freestream because the reservoir
+  // was empty.  Long runs of the registered wedge and sphere scenarios
+  // drain their reservoir, so this is not 0 there.
+  std::uint64_t synthesized = 0;
   // Axisymmetric weight balancing: simulators created by splitting a heavy
   // particle and simulators absorbed by merging two light ones (both 0 in
   // planar runs).
@@ -303,7 +305,7 @@ class Simulation {
 
   ParticleStore<Real> store_;
   ParticleStore<Real> scratch_;
-  std::vector<std::uint32_t> keys_;
+  Array<std::uint32_t> keys_;  // one per record, mapped like the store
   std::vector<std::uint32_t> counts_;  // per pairing cell
   std::vector<std::uint32_t> starts_;
   std::vector<std::uint32_t> cuts_;  // pool lanes + 1, see partition()

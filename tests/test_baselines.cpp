@@ -307,8 +307,12 @@ TEST(Baselines, EmptyAndSingletonCellsAreHandled) {
   geom::Grid grid{4, 4, 0};
   core::ParticleStore<double> gas;
   // One particle alone in one cell: nothing may collide, nothing may crash.
-  gas.push_back(0.5, 0.5, 0, 0.1, 0, 0, 0, 0, cmdsmc::rng::identity_perm());
-  gas.cell.back() = grid.index(0, 0);
+  gas.resize(1);
+  gas.x[0] = 0.5;
+  gas.y[0] = 0.5;
+  gas.ux[0] = 0.1;
+  gas.perm[0] = cmdsmc::rng::identity_perm();
+  gas.cell[0] = grid.index(0, 0);
   baseline::BaselineConfig cfg;
   baseline::BirdTimeCounter bird(grid, cfg);
   baseline::NanbuScheme nanbu(grid, cfg);

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "fixedpoint/fixed32.h"
@@ -19,11 +23,18 @@ TEST(ParticleStore, ResizeAndPushBack) {
   s.resize(3);
   EXPECT_EQ(s.size(), 3u);
   EXPECT_EQ(s.z.size(), 0u);  // 2D: z not allocated
-  s.push_back(1, 2, 0, 3, 4, 5, 6, 7, cmdsmc::rng::identity_perm(), 1);
+  s.x[2] = 1;
+  s.r1[2] = 7;
+  s.flags[2] = 1;
+  // Growing keeps every record and value-initializes the new one.
+  s.resize(4);
   EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.flags[3], 1);
-  EXPECT_EQ(s.x[3], 1.0);
-  EXPECT_EQ(s.r1[3], 7.0);
+  EXPECT_EQ(s.flags.size(), 4u);
+  EXPECT_EQ(s.x[2], 1.0);
+  EXPECT_EQ(s.r1[2], 7.0);
+  EXPECT_EQ(s.flags[2], 1);
+  EXPECT_EQ(s.x[3], 0.0);
+  EXPECT_EQ(s.flags[3], 0);
 }
 
 TEST(ParticleStore, HasZAllocatesZ) {
@@ -31,9 +42,73 @@ TEST(ParticleStore, HasZAllocatesZ) {
   s.has_z = true;
   s.resize(5);
   EXPECT_EQ(s.z.size(), 5u);
-  s.push_back(1, 2, 9, 3, 4, 5, 6, 7, cmdsmc::rng::identity_perm());
-  EXPECT_EQ(s.z[5], 9.0);
+  s.z[4] = 9;
+  s.resize(6);
+  EXPECT_EQ(s.z.size(), 6u);
+  EXPECT_EQ(s.z[4], 9.0);
+  EXPECT_EQ(s.z[5], 0.0);
 }
+
+#if CMDSMC_PAGE_MAPPED_ARRAYS
+namespace {
+
+// This process's resident set (VmRSS), in KiB.
+long resident_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  ADD_FAILURE() << "no VmRSS in /proc/self/status";
+  return 0;
+}
+
+constexpr std::size_t kRecords = 100000;
+
+// Builds and frees one store, then builds `s` and grows it 5%.  Returns the
+// KiB that building `s` and growing it added to the resident set.  Through
+// malloc, freeing the first store's mmapped blocks would raise glibc's mmap
+// threshold and carve `s` from the heap, where a freed block stays resident.
+std::pair<long, long> build_then_grow(core::ParticleStore<double>& s) {
+  {
+    core::ParticleStore<double> first;
+    first.resize(kRecords);
+  }
+  const long before = resident_kib();
+  s.resize(kRecords);
+  const long built = resident_kib();
+  s.resize(kRecords + kRecords / 20);
+  return {built - before, resident_kib() - built};
+}
+
+}  // namespace
+
+// A store that grows past its capacity moves every array to a new block;
+// the old copies must leave the resident set at once, so the growth costs
+// about the 5% it adds, not another copy of the store.
+TEST(ParticleStore, GrowthReturnsFreedArraysToTheSystem) {
+  core::ParticleStore<double> s;
+  const auto [built, grown] = build_then_grow(s);
+  ASSERT_GT(built, 0);
+  EXPECT_LE(static_cast<double>(grown), 0.25 * static_cast<double>(built))
+      << "building added " << built << " KiB, growing 5% added " << grown;
+}
+
+// The scatter walks the seven Real arrays at one index: no two of them may
+// start at the same offset into a 4 KiB page.
+TEST(ParticleStore, ArraysDoNotShareAPageOffset) {
+  core::ParticleStore<double> s;
+  build_then_grow(s);
+  const char* const names[] = {"x", "y", "ux", "uy", "uz", "r0", "r1"};
+  const double* const arrays[] = {s.x.data(),  s.y.data(),  s.ux.data(),
+                                  s.uy.data(), s.uz.data(), s.r0.data(),
+                                  s.r1.data()};
+  for (std::size_t a = 0; a < 7; ++a)
+    for (std::size_t b = a + 1; b < 7; ++b)
+      EXPECT_NE(reinterpret_cast<std::uintptr_t>(arrays[a]) % 4096,
+                reinterpret_cast<std::uintptr_t>(arrays[b]) % 4096)
+          << names[a] << " and " << names[b];
+}
+#endif
 
 namespace {
 

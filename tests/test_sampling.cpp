@@ -47,7 +47,7 @@ core::ParticleStore<double> uniform_gas(const geom::Grid& grid, double ppc,
 void sample(core::FieldSampler<double>& sampler, cmdp::ThreadPool& pool,
             core::ParticleStore<double>& s, std::int64_t ncells) {
   const auto cells = static_cast<std::uint32_t>(ncells);
-  const std::vector<std::uint32_t> keys = s.cell;
+  const std::vector<std::uint32_t> keys(s.cell.begin(), s.cell.end());
   const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, cells);
   std::vector<std::uint32_t> counts(cells);
   std::vector<std::uint32_t> starts(cells);
@@ -138,10 +138,13 @@ TEST(FieldSampler, OpenFractionNormalizesCutCells) {
   // Fill cells 0,1,3 with ppc particles and cell 2 with ppc/2 (its open half
   // at the same physical density).
   auto fill_cell = [&](int cell, int count) {
-    for (int k = 0; k < count; ++k) {
-      s.push_back(cell + 0.5, 0.5, 0, 0, 0, 0, 0, 0,
-                  cmdsmc::rng::identity_perm());
-      s.cell.back() = static_cast<std::uint32_t>(cell);
+    const std::size_t first = s.size();
+    s.resize(first + static_cast<std::size_t>(count));
+    for (std::size_t i = first; i < s.size(); ++i) {
+      s.x[i] = cell + 0.5;
+      s.y[i] = 0.5;
+      s.perm[i] = cmdsmc::rng::identity_perm();
+      s.cell[i] = static_cast<std::uint32_t>(cell);
     }
   };
   fill_cell(0, 1000);
@@ -160,8 +163,11 @@ TEST(FieldSampler, FullySolidCellReportsZeroDensity) {
   std::vector<double> open = {1.0, 0.0};
   core::FieldSampler<double> sampler(grid, open, 10.0, 0.2);
   core::ParticleStore<double> s;
-  s.push_back(0.5, 0.5, 0, 0, 0, 0, 0, 0, cmdsmc::rng::identity_perm());
-  s.cell.back() = 0;
+  s.resize(1);
+  s.x[0] = 0.5;
+  s.y[0] = 0.5;
+  s.perm[0] = cmdsmc::rng::identity_perm();
+  s.cell[0] = 0;
   sample(sampler, pool, s, grid.ncells());
   const auto f = sampler.finalize();
   EXPECT_EQ(f.density[1], 0.0);
@@ -187,11 +193,16 @@ TEST(FieldSampler, IgnoresReservoirTail) {
   core::FieldSampler<double> sampler(
       grid, std::vector<double>(grid.ncells(), 1.0), 1.0, 0.2);
   core::ParticleStore<double> s;
-  s.push_back(0.5, 0.5, 0, 0, 0, 0, 0, 0, cmdsmc::rng::identity_perm());
-  s.cell.back() = 0;
+  s.resize(2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    s.x[i] = 0.5;
+    s.y[i] = 0.5;
+    s.perm[i] = cmdsmc::rng::identity_perm();
+  }
+  s.cell[0] = 0;
   // A reservoir particle in the pairing band past the grid must not count.
-  s.push_back(0.5, 0.5, 0, 0, 0, 0, 0, 0, cmdsmc::rng::identity_perm(), 1);
-  s.cell.back() = static_cast<std::uint32_t>(grid.ncells());
+  s.flags[1] = 1;
+  s.cell[1] = static_cast<std::uint32_t>(grid.ncells());
   sample(sampler, pool, s, grid.ncells() + 1);
   const auto f = sampler.finalize();
   EXPECT_NEAR(f.mean_count[0], 1.0, 1e-12);

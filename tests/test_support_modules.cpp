@@ -482,8 +482,8 @@ TEST(Checkpoint, EveryTruncationIsRefused) {
   core::SimulationD target(cfg, &pool);
   target.run(1);
   const std::int64_t step0 = target.step_index();
-  const std::vector<double> x0 = target.particles().x;
-  const std::vector<std::uint32_t> id0 = target.particles().id;
+  const auto x0 = target.particles().x;
+  const auto id0 = target.particles().id;
   std::size_t refused = 0;
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     {
