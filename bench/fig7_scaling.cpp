@@ -31,10 +31,8 @@ using namespace cmdsmc;
 using S = core::SimulationD;
 
 // Per-step observer that averages the per-phase lane-imbalance gauge
-// (max-lane / mean-lane busy seconds) and the partition's predicted one
-// (max-lane / mean-lane particle count); attaching it also switches the
-// simulation's phase timers to per-lane accumulation, which is what we
-// want measured here.
+// (max-lane / mean-lane busy seconds, from the pool's lane clock) and the
+// partition's predicted one (max-lane / mean-lane particle count).
 struct ImbalanceProbe : obs::StepObserver {
   std::array<double, obs::StepStats::kPhases> sum{};
   double predicted_sum = 0.0;

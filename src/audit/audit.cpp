@@ -41,45 +41,41 @@ AuditFailure::AuditFailure(Violation v)
     : std::runtime_error(format_violation(v)), v_(std::move(v)) {}
 
 void check_sort_runs(std::span<const std::uint32_t> cell,
-                     std::span<const std::uint32_t> counts,
                      std::span<const std::uint32_t> starts, std::int64_t step,
                      std::vector<Violation>& out) {
   const std::size_t n = cell.size();
-  const std::size_t pair_cells = counts.size();
-  if (starts.size() != pair_cells) {
+  if (starts.empty()) {
     out.push_back({Family::kSort, step, "sort", -1,
-                   "counts/starts table size mismatch: " +
-                       std::to_string(pair_cells) + " vs " +
-                       std::to_string(starts.size())});
+                   "the starts table has no end sentinel"});
     return;
   }
-  // starts must be the exclusive prefix sum of counts and the runs must
-  // tile [0, n) exactly.
-  std::uint64_t running = 0;
-  for (std::size_t c = 0; c < pair_cells; ++c) {
-    if (starts[c] != running) {
-      out.push_back({Family::kSort, step, "sort",
-                     static_cast<std::int64_t>(c),
-                     "starts[" + std::to_string(c) + "] = " +
-                         std::to_string(starts[c]) +
-                         " breaks the prefix sum (expected " +
-                         std::to_string(running) + ")"});
-      return;
-    }
-    running += counts[c];
-  }
-  if (running != n) {
+  const std::size_t pair_cells = starts.size() - 1;
+  // The runs must tile [0, n) exactly: the starts rise from 0 to n.
+  if (starts.front() != 0 || starts.back() != n) {
     out.push_back({Family::kSort, step, "sort", -1,
-                   "cell runs cover " + std::to_string(running) + " of " +
+                   "cell runs cover [" + std::to_string(starts.front()) +
+                       ", " + std::to_string(starts.back()) + ") of " +
                        std::to_string(n) +
                        " particles: the scatter was not a bijection"});
     return;
+  }
+  for (std::size_t c = 0; c < pair_cells; ++c) {
+    if (starts[c] > starts[c + 1]) {
+      out.push_back({Family::kSort, step, "sort",
+                     static_cast<std::int64_t>(c),
+                     "starts[" + std::to_string(c) + "] = " +
+                         std::to_string(starts[c]) + " > starts[" +
+                         std::to_string(c + 1) + "] = " +
+                         std::to_string(starts[c + 1]) +
+                         ": the runs overlap"});
+      return;
+    }
   }
   // Every particle must sit inside its keyed cell's run.
   std::size_t bad = 0;
   for (std::size_t c = 0; c < pair_cells && bad < 8; ++c) {
     const std::size_t b = starts[c];
-    const std::size_t e = b + counts[c];
+    const std::size_t e = starts[c + 1];
     for (std::size_t i = b; i < e; ++i) {
       if (cell[i] != c) {
         out.push_back({Family::kSort, step, "sort",
@@ -95,7 +91,7 @@ void check_sort_runs(std::span<const std::uint32_t> cell,
 }
 
 void check_partition(std::span<const std::uint32_t> cuts,
-                     std::span<const std::uint32_t> starts, std::size_t n,
+                     std::span<const std::uint32_t> starts,
                      double reported_imbalance, double tol, std::int64_t step,
                      std::vector<Violation>& out) {
   const std::size_t out0 = out.size();
@@ -103,12 +99,14 @@ void check_partition(std::span<const std::uint32_t> cuts,
     out.push_back(
         {Family::kPartition, step, "partition", where, std::move(detail)});
   };
-  const std::size_t cells = starts.size();
-  if (cuts.size() < 2) {
+  if (cuts.size() < 2 || starts.empty()) {
     fail(-1, "partition holds " + std::to_string(cuts.size()) +
-                 " cuts (needs lanes + 1 >= 2)");
+                 " cuts over " + std::to_string(starts.size()) +
+                 " starts (needs lanes + 1 >= 2 and the end sentinel)");
     return;
   }
+  const std::size_t cells = starts.size() - 1;
+  const std::size_t n = starts.back();
   const std::size_t lanes = cuts.size() - 1;
   // Exact cover of [0, cells) by ascending blocks.
   if (cuts.front() != 0)
@@ -129,11 +127,12 @@ void check_partition(std::span<const std::uint32_t> cuts,
     }
   }
   if (out.size() != out0) return;  // the checks below need a sound cover
-  // Cut t is the first cell whose start reaches the quantile t * n / lanes.
+  // Cut t is the first cell whose start reaches the quantile t * n / lanes
+  // (the sentinel n reaches every quantile).
   for (std::size_t t = 1; t < lanes; ++t) {
     const std::size_t target = t * n / lanes;
     const std::uint32_t c = cuts[t];
-    const bool reaches = c == cells || starts[c] >= target;
+    const bool reaches = starts[c] >= target;
     const bool first = c == 0 || starts[c - 1] < target;
     if (!reaches || !first) {
       fail(static_cast<std::int64_t>(t),
@@ -146,11 +145,9 @@ void check_partition(std::span<const std::uint32_t> cuts,
   }
   if (std::isnan(reported_imbalance)) return;
   std::size_t busiest = 0;
-  for (std::size_t t = 0; t < lanes; ++t) {
-    const std::size_t b = cuts[t] < cells ? starts[cuts[t]] : n;
-    const std::size_t e = cuts[t + 1] < cells ? starts[cuts[t + 1]] : n;
-    busiest = std::max(busiest, e - b);
-  }
+  for (std::size_t t = 0; t < lanes; ++t)
+    busiest = std::max<std::size_t>(busiest,
+                                    starts[cuts[t + 1]] - starts[cuts[t]]);
   const double recomputed =
       n > 0 ? static_cast<double>(busiest) * static_cast<double>(lanes) /
                   static_cast<double>(n)

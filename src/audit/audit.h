@@ -98,25 +98,26 @@ struct AuditCounters {
 };
 
 // --- Sort-plan audit ---------------------------------------------------
-// After the scatter, the per-pairing-cell (counts, starts) tables and the
-// particle cell array must describe a consistent partition: starts is the
-// exclusive prefix sum of counts, the runs tile [0, n) exactly, and every
+// After the scatter, the per-pairing-cell `starts` table (pairing cells + 1
+// entries; run c is [starts[c], starts[c + 1])) and the particle cell
+// array must describe a consistent partition: the starts rise from 0 to
+// the sentinel n = cell.size(), so the runs tile [0, n) exactly, and every
 // particle inside run c carries pairing cell c.  Together with n staying
 // the particle count this proves the scatter was a bijection — no particle
 // lost, duplicated, or filed under the wrong cell.
 void check_sort_runs(std::span<const std::uint32_t> cell,
-                     std::span<const std::uint32_t> counts,
                      std::span<const std::uint32_t> starts, std::int64_t step,
                      std::vector<Violation>& out);
 
 // --- Partition audit ----------------------------------------------------
-// The step's lane cuts over the sort's per-cell `starts` (n particles in
-// starts.size() pairing cells) must ascend from 0 to starts.size(), each
-// cut t must be the first cell whose start reaches t * n / lanes, and the
-// imbalance the step reports must match the max/mean lane particle count
-// recomputed here (pass NaN as `reported_imbalance` to skip that).
+// The step's lane cuts over the sort's per-cell `starts` (starts.size() - 1
+// pairing cells, and the sentinel starts.back() = n particles) must ascend
+// from 0 to the cell count, each cut t must be the first cell whose start
+// reaches t * n / lanes, and the imbalance the step reports must match the
+// max/mean lane particle count recomputed here (pass NaN as
+// `reported_imbalance` to skip that).
 void check_partition(std::span<const std::uint32_t> cuts,
-                     std::span<const std::uint32_t> starts, std::size_t n,
+                     std::span<const std::uint32_t> starts,
                      double reported_imbalance, double tol, std::int64_t step,
                      std::vector<Violation>& out);
 

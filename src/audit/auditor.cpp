@@ -78,13 +78,11 @@ template <class Real>
 void Auditor<Real>::after_sort(const core::Simulation<Real>& sim) {
   const std::int64_t step = sim.step_index();
   std::vector<Violation> fresh;
-  check_sort_runs(sim.particles().cell, sim.sort_counts(), sim.sort_starts(),
-                  step, fresh);
+  check_sort_runs(sim.particles().cell, sim.sort_starts(), step, fresh);
   settle(Family::kSort, 1, fresh);
 
   check_partition(sim.partition(), sim.sort_starts(),
-                  sim.particles().size(), sim.partition_imbalance(), 1e-6,
-                  step, fresh);
+                  sim.partition_imbalance(), 1e-6, step, fresh);
   settle(Family::kPartition, 1, fresh);
 
   accumulate_cell_moments(sim.particles(),

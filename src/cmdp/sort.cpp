@@ -35,8 +35,7 @@ std::uint32_t count_key_range(std::span<const std::uint32_t> keys,
 }
 
 void sort_key_cuts(std::span<const std::uint32_t> keys,
-                   std::uint32_t key_bound, std::uint32_t align,
-                   std::span<std::uint32_t> cuts) {
+                   std::uint32_t key_bound, std::span<std::uint32_t> cuts) {
   const auto lanes = static_cast<unsigned>(cuts.size() - 1);
   const std::size_t n = keys.size();
   cuts[0] = 0;
@@ -52,12 +51,15 @@ void sort_key_cuts(std::span<const std::uint32_t> keys,
       const std::uint32_t c = keys[i + 1 < n ? i + 1 : i];
       cut = std::max(std::min(a, b), std::min(std::max(a, b), c));
     }
-    cuts[t] = cut - cut % align;
+    cuts[t] = cut;
   }
   std::sort(cuts.begin() + 1, cuts.end() - 1);
 }
 
 namespace {
+
+// Blocks lay_out_sort reads to judge whether the keys are near-sorted.
+constexpr std::size_t kProbeBlocks = 32;
 
 // Whether no lane cut by `cuts` scans more than 3/4 of the probe blocks (a
 // lane scans each block holding any of its keys).  Keys in the previous
@@ -82,18 +84,18 @@ bool lanes_pay_off(std::span<const std::uint32_t> keys,
   return true;
 }
 
-}  // namespace
-
+// The lanes, cuts and Workspace table of a sort; key_starts is not filled
+// yet.  It keeps the pool's lanes only while they pay off (lanes_pay_off).
 SortPlan lay_out_sort(ThreadPool& pool, std::span<const std::uint32_t> keys,
-                      std::uint32_t key_bound, std::uint32_t align) {
-  assert(key_bound >= 1 && align >= 1);
+                      std::uint32_t key_bound) {
+  assert(key_bound >= 1);
   SortPlan plan;
   plan.n = keys.size();
   plan.key_bound = key_bound;
   plan.lanes = pool.size() == 1 || plan.n < kSerialCutoff ? 1 : pool.size();
   Workspace& ws = pool.workspace();
   std::uint32_t* const cuts = grown(ws.sort_cuts, plan.lanes + std::size_t{1});
-  sort_key_cuts(keys, key_bound, align, {cuts, plan.lanes + std::size_t{1}});
+  sort_key_cuts(keys, key_bound, {cuts, plan.lanes + std::size_t{1}});
   if (plan.lanes > 1 &&
       !lanes_pay_off(keys, {cuts, plan.lanes + std::size_t{1}})) {
     plan.lanes = 1;
@@ -105,10 +107,12 @@ SortPlan lay_out_sort(ThreadPool& pool, std::span<const std::uint32_t> keys,
   return plan;
 }
 
+}  // namespace
+
 SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
                             std::uint32_t key_bound) {
-  const SortPlan plan = lay_out_sort(pool, keys, key_bound, 1);
+  const SortPlan plan = lay_out_sort(pool, keys, key_bound);
   for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
     count_key_range(keys, plan.cuts[t], plan.cuts[t + 1],
                     plan.key_starts.data());
@@ -117,11 +121,14 @@ SortPlan counting_sort_plan(ThreadPool& pool,
   return plan;
 }
 
-void count_quantile_cuts(std::span<const std::uint32_t> starts, std::size_t n,
+void count_quantile_cuts(std::span<const std::uint32_t> starts,
                          std::span<std::uint32_t> cuts) {
   const std::size_t lanes = cuts.size() - 1;
+  const std::size_t n = starts.back();
   cuts[0] = 0;
-  cuts[lanes] = static_cast<std::uint32_t>(starts.size());
+  cuts[lanes] = static_cast<std::uint32_t>(starts.size() - 1);
+  // The sentinel n reaches every quantile, so the search never runs off the
+  // table.
   for (std::size_t t = 1; t < lanes; ++t) {
     const auto target = static_cast<std::uint32_t>(t * n / lanes);
     cuts[t] = static_cast<std::uint32_t>(
@@ -130,18 +137,16 @@ void count_quantile_cuts(std::span<const std::uint32_t> starts, std::size_t n,
   }
 }
 
-double cut_imbalance(std::span<const std::uint32_t> starts, std::size_t n,
+double cut_imbalance(std::span<const std::uint32_t> starts,
                      std::span<const std::uint32_t> cuts) {
-  if (n == 0 || cuts.size() < 2) return 1.0;
+  if (cuts.size() < 2 || starts.empty() || starts.back() == 0) return 1.0;
   const std::size_t lanes = cuts.size() - 1;
-  auto start = [&](std::uint32_t c) {
-    return c < starts.size() ? std::size_t{starts[c]} : n;
-  };
   std::size_t busiest = 0;
   for (std::size_t t = 0; t < lanes; ++t)
-    busiest = std::max(busiest, start(cuts[t + 1]) - start(cuts[t]));
+    busiest = std::max<std::size_t>(busiest,
+                                    starts[cuts[t + 1]] - starts[cuts[t]]);
   return static_cast<double>(busiest) * static_cast<double>(lanes) /
-         static_cast<double>(n);
+         static_cast<double>(starts.back());
 }
 
 void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,

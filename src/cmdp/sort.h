@@ -8,13 +8,14 @@
 // range: its absolute output offset, so no cross-lane scan) and then
 // scatters its records, in input order, into its own output slice.  Both
 // passes skip kKeyBlock-key blocks holding none of the lane's keys, which
-// makes near-sorted keys (the previous step's order) cheap; keys in no
-// particular order run on one lane (lay_out_sort).  A stable sort's output
-// is unique, so the cuts and lane count only decide who does the work.
-// The table is also each key's start, so callers read per-cell counts and
-// starts from it instead of a separate histogram and scan.  The table and
-// cuts live in the pool's Workspace: steady-state sorting is
-// allocation-free.
+// makes near-sorted keys (the previous step's order) cheap.  The
+// simulation cuts the lanes at its previous step's cell blocks;
+// counting_sort_plan guesses cuts from the keys and runs keys in no
+// particular order on one lane.  A stable sort's output is unique, so the
+// cuts and lane count only decide who does the work.  The table is also
+// each key's start, so callers read per-cell counts and starts from it
+// instead of a separate histogram and scan.  The table and cuts live in
+// the pool's Workspace: steady-state sorting is allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +27,6 @@
 namespace cmdsmc::cmdp {
 
 inline constexpr std::size_t kKeyBlock = 64;
-// Blocks lay_out_sort reads to judge whether the keys are near-sorted.
-inline constexpr std::size_t kProbeBlocks = 32;
 
 // How many of the first len keys lie in [lo, hi) — a branch-free count the
 // compiler vectorizes, cheaper than the keys' min and max.
@@ -79,11 +78,10 @@ void scatter_key_range(std::span<const std::uint32_t> keys, std::uint32_t lo,
 }
 
 // Ascending cuts[0..lanes]: 0, then the key at each lane_range boundary of
-// the input (median of it and its neighbours) rounded down to a multiple of
-// `align`, then key_bound.  Near-sorted keys get about n / lanes per lane.
+// the input (median of it and its neighbours), then key_bound.  Near-sorted
+// keys get about n / lanes per lane.
 void sort_key_cuts(std::span<const std::uint32_t> keys,
-                   std::uint32_t key_bound, std::uint32_t align,
-                   std::span<std::uint32_t> cuts);
+                   std::uint32_t key_bound, std::span<std::uint32_t> cuts);
 
 // A stable counting sort cut into lanes.  Spans borrow the pool's
 // Workspace: a plan is invalidated by the next sort on the same pool.
@@ -99,13 +97,6 @@ struct SortPlan {
   std::span<std::uint32_t> key_starts;
 };
 
-// The lanes, cuts (multiples of `align`) and Workspace table of a sort;
-// key_starts is not filled yet.  It keeps the pool's lanes only while, in
-// kProbeBlocks blocks spread evenly over the keys, no lane would scan more
-// than 3/4 of what one lane scans.
-SortPlan lay_out_sort(ThreadPool& pool, std::span<const std::uint32_t> keys,
-                      std::uint32_t key_bound, std::uint32_t align);
-
 // fn(t) for every lane t < lanes: inline for one lane, else in one pass of
 // the pool (lanes is 1 or pool.size()).
 template <class Fn>
@@ -116,7 +107,10 @@ void for_each_sort_lane(ThreadPool& pool, unsigned lanes, Fn&& fn) {
     pool.parallel(fn);
 }
 
-// Every lane's count pass: a plan with key_starts filled.
+// Every lane's count pass: a plan with key_starts filled.  The cuts are
+// sort_key_cuts'; the plan keeps the pool's lanes only while, in 32 blocks
+// spread evenly over the keys, no lane would scan more than 3/4 of what one
+// lane scans.
 SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
                             std::uint32_t key_bound);
@@ -135,14 +129,16 @@ void apply_sort_plan(ThreadPool& pool, std::span<const std::uint32_t> keys,
 // The cells of a sorted array cut into cuts.size() - 1 lane blocks at
 // particle-count quantiles: lane t owns cells [cuts[t], cuts[t + 1]), and
 // cuts[t] is the first cell whose start reaches t * n / lanes (a cell never
-// splits).  `starts` is the sort's per-cell first position, so each cut is
-// one binary search; n is the sorted count and cuts[lanes] = starts.size().
-void count_quantile_cuts(std::span<const std::uint32_t> starts, std::size_t n,
+// splits).  `starts` is the sort's per-cell first position plus an end
+// sentinel: cell c holds [starts[c], starts[c + 1]), and starts.back() is
+// the sorted count n.  Each cut is one binary search, and cuts[lanes] is
+// the cell count, starts.size() - 1.
+void count_quantile_cuts(std::span<const std::uint32_t> starts,
                          std::span<std::uint32_t> cuts);
 
 // Max / mean lane particle count of such cuts: 1 when they balance exactly
 // (or there are no particles), the lane count when one lane holds them all.
-double cut_imbalance(std::span<const std::uint32_t> starts, std::size_t n,
+double cut_imbalance(std::span<const std::uint32_t> starts,
                      std::span<const std::uint32_t> cuts);
 
 // Stable counting sort.  Fills `order` (size == keys.size()) such that

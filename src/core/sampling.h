@@ -64,15 +64,15 @@ class FieldSampler {
   }
 
   // Accumulates one sample over the sorted runs: cell c's particles occupy
-  // [starts[c], starts[c] + counts[c]) (the sort phase's per-pairing-cell
-  // tables; the reservoir pseudo-cells past the grid carry no field).  Lane
-  // t samples cells [cuts[t], cuts[t + 1]) (cuts.size() - 1 is 1 or the
+  // [starts[c], starts[c + 1]) (the sort phase's per-pairing-cell table;
+  // the reservoir pseudo-cells past the grid carry no field).  Lane t
+  // samples cells [cuts[t], cuts[t + 1]) (cuts.size() - 1 is 1 or the
   // pool's lane count), and each cell's moments add into sums_ in ascending
   // index order, so the sums are bit-identical for every lane count and
   // every set of cuts.  `weights` (when non-null) scales every moment by
   // the particle's statistical weight — the axisymmetric radial weighting.
   void accumulate(cmdp::ThreadPool& pool, const ParticleStore<Real>& store,
-                  const std::uint32_t* counts, const std::uint32_t* starts,
+                  const std::uint32_t* starts,
                   std::span<const std::uint32_t> cuts,
                   const double* weights = nullptr) {
     using N = physics::Num<Real>;
@@ -80,11 +80,9 @@ class FieldSampler {
     auto run = [&](std::uint32_t cbegin, std::uint32_t cend) {
       if (cend > ncells) cend = ncells;  // reservoir band carries no field
       for (std::size_t c = cbegin; c < cend; ++c) {
-        const std::uint32_t cnt = counts[c];
-        if (cnt == 0) continue;
-        const std::size_t s = starts[c];
         double* m = sums_.data() + c * kMoments;
-        for (std::size_t i = s; i < s + cnt; ++i) {
+        const std::size_t end = starts[c + 1];
+        for (std::size_t i = starts[c]; i < end; ++i) {
           const double vx = N::to_double(store.ux[i]);
           const double vy = N::to_double(store.uy[i]);
           const double vz = N::to_double(store.uz[i]);

@@ -377,15 +377,15 @@ void Simulation<Real>::emit_step_stats() {
   s.audit_checks = s.audit_active ? auditor_->counters().total_checks() : 0;
   s.audit_violations =
       s.audit_active ? auditor_->counters().total_violations() : 0;
-  // Occupancy spread over open flow cells, from the sort plan's per-cell
-  // counts (still valid: the collide phase reads but never rewrites them).
+  // Occupancy spread over open flow cells, from the sort's per-cell starts
+  // (still valid: the collide phase reads but never rewrites them).
   std::uint32_t occ_min = 0xffffffffu;
   std::uint32_t occ_max = 0;
   std::uint64_t occ_sum = 0;
   std::uint64_t open_cells = 0;
   for (std::uint32_t c = 0; c < ncells_; ++c) {
     if (open_frac_[c] <= 0.0) continue;  // solid interior cells
-    const std::uint32_t cnt = counts_[c];
+    const std::uint32_t cnt = starts_[c + 1] - starts_[c];
     occ_min = cnt < occ_min ? cnt : occ_min;
     occ_max = cnt > occ_max ? cnt : occ_max;
     occ_sum += cnt;
@@ -399,8 +399,7 @@ void Simulation<Real>::emit_step_stats() {
                    : 0.0;
   s.arena_bytes =
       pool_->workspace().bytes() +
-      sizeof(std::uint32_t) *
-          (keys_.capacity() + counts_.capacity() + starts_.capacity());
+      sizeof(std::uint32_t) * (keys_.capacity() + starts_.capacity());
   // Timing deltas, for the observer only.
   const unsigned lanes = timers_.lanes();
   s.lanes = lanes;
@@ -819,42 +818,42 @@ void Simulation<Real>::phase_sort() {
   const auto scale = static_cast<std::uint32_t>(cfg_.sort_scale);
   const std::uint32_t ncells = ncells_;
   const std::uint32_t pair_cells = ncells_ + res_cells_;
-  counts_.resize(pair_cells);
-  starts_.resize(pair_cells);
+  const std::uint32_t key_bound = sort_key_bound();
+  starts_.resize(pair_cells + std::size_t{1});
   const bool axi = cfg_.axisymmetric;
   if (axi) cell_weight_.resize(ncells_);
-  std::uint32_t* const countsp = counts_.data();
   std::uint32_t* const startsp = starts_.data();
   const auto mover = store_.mover_into(scratch_);
   const double* const sorted_weight = axi ? scratch_.weight.data() : nullptr;
-  const cmdp::SortPlan plan =
-      cmdp::lay_out_sort(*pool_, keys_, sort_key_bound(), scale);
-  std::uint32_t* const ks = plan.key_starts.data();
-  cmdp::for_each_sort_lane(*pool_, plan.lanes, [&](unsigned t) {
-    // The cuts fall on multiples of sort_scale, so the lane owning keys
-    // [lo, hi) owns the whole cells [lo / scale, hi / scale): the key of
-    // cell c lies in [c*scale, (c+1)*scale), and the cell's start and count
-    // drop out of the lane's slice of the key table with no pass over the
-    // particles.
-    const std::uint32_t lo = plan.cuts[t];
-    const std::uint32_t hi = plan.cuts[t + 1];
+  std::uint32_t* const ks = cmdp::grown(pool_->workspace().sort_starts,
+                                        key_bound + std::size_t{1});
+  // Lane t sorts the cells of the previous step's partition block t, whose
+  // keys mostly sit in its own stretch of that step's order: sort, collide
+  // and sample share one split.  The first step, and the first after a
+  // restore, have no partition and sort on one lane.
+  const bool on_partition = cuts_.size() == pool_->size() + std::size_t{1} &&
+                            n >= cmdp::kSerialCutoff;
+  const unsigned lanes = on_partition ? pool_->size() : 1;
+  cmdp::for_each_sort_lane(*pool_, lanes, [&](unsigned t) {
+    // The lane owns the whole cells [first, last): the key of cell c lies
+    // in [c*scale, (c+1)*scale), so the cell starts drop out of the lane's
+    // slice of the key table with no pass over the particles.  The last
+    // lane also owns the axisymmetric dead key past the last cell.
+    const std::uint32_t first = on_partition ? cuts_[t] : 0;
+    const std::uint32_t last = on_partition ? cuts_[t + 1] : pair_cells;
+    const std::uint32_t lo = first * scale;
+    const std::uint32_t hi = t + 1 == lanes ? key_bound : last * scale;
     const std::uint32_t end = cmdp::count_key_range(keys_, lo, hi, ks);
-    const std::uint32_t first = lo / scale;
-    const std::uint32_t last = std::min(hi / scale, pair_cells);
-    for (std::uint32_t c = first; c < last; ++c) {
-      const std::uint32_t next = (c + 1) * scale;
-      startsp[c] = ks[c * scale];
-      countsp[c] = (next < hi ? ks[next] : end) - startsp[c];
-    }
+    for (std::uint32_t c = first; c < last; ++c) startsp[c] = ks[c * scale];
     cmdp::scatter_key_range(keys_, lo, hi, ks, mover);
     // Axisymmetric: the weighted census of the lane's flow cells, summed in
     // sorted array order over its own output slice (so independent of the
-    // lane count).
+    // lane count).  The next lane may not have written its first start yet.
     if (!axi) return;
     for (std::uint32_t c = first; c < std::min(last, ncells); ++c) {
+      const std::uint32_t e = c + 1 < last ? startsp[c + 1] : end;
       double acc = 0.0;
-      for (std::uint32_t i = startsp[c], e = i + countsp[c]; i < e; ++i)
-        acc += sorted_weight[i];
+      for (std::uint32_t i = startsp[c]; i < e; ++i) acc += sorted_weight[i];
       cell_weight_[c] = acc;
     }
   });
@@ -865,11 +864,13 @@ void Simulation<Real>::phase_sort() {
     store_.resize(n - dead);
     keys_.resize(n - dead);
   }
+  startsp[pair_cells] = static_cast<std::uint32_t>(store_.size());
   // The step's partition: one block of pairing cells per pool lane, cut
   // where the sorted array crosses each particle-count quantile.  Collide
-  // and sample walk these blocks; nothing of them outlives the step.
+  // and sample walk these blocks, and the next step's sort cuts its lanes
+  // at them.
   cuts_.resize(pool_->size() + std::size_t{1});
-  cmdp::count_quantile_cuts(starts_, store_.size(), cuts_);
+  cmdp::count_quantile_cuts(starts_, cuts_);
 }
 
 template <class Real>
@@ -1059,8 +1060,8 @@ std::size_t Simulation<Real>::balance_weights() {
 
 template <class Real>
 void Simulation<Real>::phase_select_and_collide() {
-  // counts_/starts_ came from the sort phase's key table — no histogram or
-  // scan over the particles here.  Selection and collision are one fused
+  // starts_ came from the sort phase's key table — no histogram or scan
+  // over the particles here.  Selection and collision are one fused
   // per-cell traversal: candidate pairs are the (s, s+1), (s+2, s+3), ...
   // index pairs of each sorted cell, visited in the same ascending order as
   // the historical per-particle select-then-collide passes.  Pairs are
@@ -1085,7 +1086,6 @@ void Simulation<Real>::phase_select_and_collide() {
   Real* const v0p = vibrational ? store_.v0.data() : nullptr;
   Real* const v1p = vibrational ? store_.v1.data() : nullptr;
   rng::PackedPerm* const permp = store_.perm.data();
-  const std::uint32_t* const countsp = counts_.data();
   const std::uint32_t* const startsp = starts_.data();
   const double* const openp = open_frac_.data();
   // Axisymmetric: the collision density is the weighted census over the
@@ -1111,9 +1111,9 @@ void Simulation<Real>::phase_select_and_collide() {
     std::uint64_t local_coll = 0;
     std::uint64_t local_res = 0;
     for (std::size_t c = cbegin; c < cend; ++c) {
-      const std::uint32_t cnt = countsp[c];
-      if (cnt < 2) continue;
       const std::uint32_t s = startsp[c];
+      const std::uint32_t cnt = startsp[c + 1] - s;
+      if (cnt < 2) continue;
       // Flow cells hold only flow particles and pseudo-cells only reservoir
       // ones, so the cell index replaces the per-particle flag check.
       const bool is_res = c >= ncells_;
@@ -1173,7 +1173,7 @@ void Simulation<Real>::phase_select_and_collide() {
         // leader's.
         const rng::PackedPerm perm = permp[i];
         if (truncate)
-          physics::collide_pair_truncating(pv, perm, bits);
+          physics::collide_pair<physics::Halving::kTruncate>(pv, perm, bits);
         else
           physics::collide_pair(pv, perm, bits);
         bool write_a = true;
@@ -1243,8 +1243,16 @@ void Simulation<Real>::phase_select_and_collide() {
 
 template <class Real>
 void Simulation<Real>::phase_sample() {
-  sampler_.accumulate(*pool_, store_, counts_.data(), starts_.data(), cuts_,
+  sampler_.accumulate(*pool_, store_, starts_.data(), cuts_,
                       cfg_.axisymmetric ? store_.weight.data() : nullptr);
+}
+
+template <class Real>
+std::vector<std::uint32_t> Simulation<Real>::sort_counts() const {
+  std::vector<std::uint32_t> counts(starts_.empty() ? 0 : starts_.size() - 1);
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    counts[c] = starts_[c + 1] - starts_[c];
+  return counts;
 }
 
 template <class Real>
@@ -1317,6 +1325,9 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   plunger_.x = state.plunger_x;
   res_count_ = static_cast<std::size_t>(state.res_count);
   counters_ = state.counters;
+  // The partition described the replaced store: the next sort runs on one
+  // lane and cuts a fresh one.
+  cuts_.clear();
   rebuild_interior_mask();
 }
 

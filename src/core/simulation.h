@@ -150,18 +150,22 @@ class Simulation {
   // auditor must outlive the simulation or be detached first.
   void set_auditor(audit::Auditor<Real>* auditor) { auditor_ = auditor; }
 
-  // Read-only views of the sort phase's per-pairing-cell tables and of the
+  // Read-only views of the sort phase's per-pairing-cell table and of the
   // step's partition, for the audit layer (valid after the first step; the
-  // collide and sample phases read but never rewrite them).  Lane t of the
-  // pool collides and samples pairing cells [partition()[t],
-  // partition()[t + 1]), cut at particle-count quantiles of the sorted
-  // array (cmdp::count_quantile_cuts).
-  const std::vector<std::uint32_t>& sort_counts() const { return counts_; }
+  // collide and sample phases read but never rewrite them).  Pairing cell c
+  // holds the sorted particles [sort_starts()[c], sort_starts()[c + 1]),
+  // and the last of the pair cells + 1 entries is the particle count.
+  // Lane t of the pool sorts, collides and samples pairing cells
+  // [partition()[t], partition()[t + 1]), cut at particle-count quantiles
+  // of the sorted array (cmdp::count_quantile_cuts); the sort uses the
+  // previous step's cuts, and partition() is empty after a restore.
   const std::vector<std::uint32_t>& sort_starts() const { return starts_; }
+  // Each pairing cell's particle count, derived from sort_starts().
+  std::vector<std::uint32_t> sort_counts() const;
   const std::vector<std::uint32_t>& partition() const { return cuts_; }
   // Predicted max/mean lane particle count of partition() (1 on one lane).
   double partition_imbalance() const {
-    return cmdp::cut_imbalance(starts_, store_.size(), cuts_);
+    return cmdp::cut_imbalance(starts_, cuts_);
   }
 
   // --- Conservation diagnostics (flow + reservoir, double precision) ---
@@ -306,8 +310,7 @@ class Simulation {
   ParticleStore<Real> store_;
   ParticleStore<Real> scratch_;
   Array<std::uint32_t> keys_;  // one per record, mapped like the store
-  std::vector<std::uint32_t> counts_;  // per pairing cell
-  std::vector<std::uint32_t> starts_;
+  std::vector<std::uint32_t> starts_;  // pair cells + 1, see sort_starts()
   std::vector<std::uint32_t> cuts_;  // pool lanes + 1, see partition()
 
   // Reservoir particles.  The sort leaves them contiguous at the tail of

@@ -18,8 +18,7 @@
 // Fixed-point note: we halve (S + G') stochastically and recover the partner
 // as b' = S - a', which conserves momentum *bit-exactly* and makes the energy
 // error a zero-mean ±1 ulp noise (the paper's stochastic rounding).  Plain
-// truncation (`collide_pair_truncating`) is kept for the energy-drift
-// ablation.
+// truncation (Halving::kTruncate) is kept for the energy-drift ablation.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +46,26 @@ inline constexpr int kSignShift = 0;
 inline constexpr int kRoundShift = 5;
 inline constexpr int kTransposeShift = 10;
 
+// How the kernel halves S + G' (only fixed point differs): with the draw's
+// stochastic-rounding bits, or by consistent truncation, which shows the
+// paper's energy loss in stagnation regions.
+enum class Halving { kStochastic, kTruncate };
+
+// (S + G') / 2 for component c, rounded as `H` says.
+template <Halving H, class Real>
+inline Real halve(Real v, std::uint64_t bits, int c) {
+  using N = Num<Real>;
+  if constexpr (H == Halving::kTruncate) {
+    return N::half_truncate(v);
+  } else {
+    return N::half(v, static_cast<std::uint32_t>(bits >> (kRoundShift + c)) &
+                          1u);
+  }
+}
+
 // Collides the pair in place.  `perm` re-orders the relative components;
 // `bits` supplies signs and rounding bits as laid out above.
-template <class Real>
+template <Halving H = Halving::kStochastic, class Real>
 inline void collide_pair(Pair5<Real>& p, rng::PackedPerm perm,
                          std::uint64_t bits) {
   using N = Num<Real>;
@@ -64,59 +80,26 @@ inline void collide_pair(Pair5<Real>& p, rng::PackedPerm perm,
   for (int c = 0; c < kDof; ++c) {
     const bool neg = (bits >> (kSignShift + c)) & 1u;
     const Real g = N::neg_if(perm_rel[c], neg);
-    const std::uint32_t rbit =
-        static_cast<std::uint32_t>(bits >> (kRoundShift + c)) & 1u;
-    const Real a_new = N::half(sum[c] + g, rbit);
-    p.a[c] = a_new;
-    p.b[c] = sum[c] - a_new;
-  }
-}
-
-// Ablation variant: consistent truncation of the halving (fixed point only
-// differs).  Demonstrates the paper's energy loss in stagnation regions.
-template <class Real>
-inline void collide_pair_truncating(Pair5<Real>& p, rng::PackedPerm perm,
-                                    std::uint64_t bits) {
-  using N = Num<Real>;
-  Real sum[kDof];
-  Real rel[kDof];
-  for (int c = 0; c < kDof; ++c) {
-    sum[c] = p.a[c] + p.b[c];
-    rel[c] = p.a[c] - p.b[c];
-  }
-  Real perm_rel[kDof];
-  rng::apply_perm(perm, rel, perm_rel);
-  for (int c = 0; c < kDof; ++c) {
-    const bool neg = (bits >> (kSignShift + c)) & 1u;
-    const Real g = N::neg_if(perm_rel[c], neg);
-    const Real a_new = N::half_truncate(sum[c] + g);
+    const Real a_new = halve<H>(sum[c] + g, bits, c);
     p.a[c] = a_new;
     p.b[c] = sum[c] - a_new;
   }
 }
 
 // One-sided (Nanbu-style) update: only particle `a` receives its
-// post-collision velocity; `b` is read-only.  Conserves momentum and energy
-// only in the mean — implemented for the baseline comparison.
+// post-collision velocity, the one collide_pair gives it; `b` is read-only.
+// Conserves momentum and energy only in the mean — implemented for the
+// baseline comparison.
 template <class Real>
 inline void collide_one_sided(Real (&a)[kDof], const Real (&b)[kDof],
                               rng::PackedPerm perm, std::uint64_t bits) {
-  using N = Num<Real>;
-  Real sum[kDof];
-  Real rel[kDof];
+  Pair5<Real> p;
   for (int c = 0; c < kDof; ++c) {
-    sum[c] = a[c] + b[c];
-    rel[c] = a[c] - b[c];
+    p.a[c] = a[c];
+    p.b[c] = b[c];
   }
-  Real perm_rel[kDof];
-  rng::apply_perm(perm, rel, perm_rel);
-  for (int c = 0; c < kDof; ++c) {
-    const bool neg = (bits >> (kSignShift + c)) & 1u;
-    const Real g = N::neg_if(perm_rel[c], neg);
-    const std::uint32_t rbit =
-        static_cast<std::uint32_t>(bits >> (kRoundShift + c)) & 1u;
-    a[c] = N::half(sum[c] + g, rbit);
-  }
+  collide_pair(p, perm, bits);
+  for (int c = 0; c < kDof; ++c) a[c] = p.a[c];
 }
 
 }  // namespace cmdsmc::physics

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "fixedpoint/fixed32.h"
@@ -23,7 +22,6 @@ struct Num<double> {
   // Halving is exact in binary floating point; the random bit is unused.
   static double half(double v, std::uint32_t /*bit*/) { return 0.5 * v; }
   static double half_truncate(double v) { return 0.5 * v; }
-  static int floor_int(double v) { return static_cast<int>(std::floor(v)); }
   // Branchless sign flip: the collision kernel calls this five times per
   // pair with *random* sign bits, which a conditional would mispredict half
   // the time.  XOR on the sign bit is exact for every value.
@@ -47,7 +45,6 @@ struct Num<fixedpoint::Fixed32> {
     return fixedpoint::half_stochastic(v, bit);
   }
   static F half_truncate(F v) { return fixedpoint::half_truncate(v); }
-  static int floor_int(F v) { return v.raw >> F::kFracBits; }
   // Branchless two's-complement negation (see Num<double>::neg_if): x^-m
   // + m is x for m == 0 and -x for m == 1, wrap-exact like unary minus.
   static F neg_if(F v, bool neg) {

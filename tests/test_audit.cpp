@@ -52,18 +52,15 @@ core::SimConfig small_axi_config() {
   return cfg;
 }
 
-// A consistent (cell, counts, starts) triple: `occupancy[c]` particles in
-// each of `ncells` runs, laid out contiguously.
+// A consistent (cell, starts) pair: `occupancy[c]` particles in each of
+// `ncells` runs, laid out contiguously, and the end sentinel n.
 struct SortFixture {
-  std::vector<std::uint32_t> cell, counts, starts;
+  std::vector<std::uint32_t> cell, starts;
   explicit SortFixture(const std::vector<std::uint32_t>& occupancy) {
-    counts = occupancy;
-    starts.resize(counts.size());
-    std::uint32_t run = 0;
-    for (std::size_t c = 0; c < counts.size(); ++c) {
-      starts[c] = run;
-      run += counts[c];
-      for (std::uint32_t k = 0; k < counts[c]; ++k)
+    starts.push_back(0);
+    for (std::size_t c = 0; c < occupancy.size(); ++c) {
+      starts.push_back(starts.back() + occupancy[c]);
+      for (std::uint32_t k = 0; k < occupancy[c]; ++k)
         cell.push_back(static_cast<std::uint32_t>(c));
     }
   }
@@ -76,13 +73,11 @@ struct PartitionFixture : SortFixture {
   std::vector<std::uint32_t> cuts = std::vector<std::uint32_t>(5);
   PartitionFixture()
       : SortFixture({9, 1, 0, 4, 7, 2, 2, 0, 5, 3, 8, 1, 0, 6, 2, 4}) {
-    cmdp::count_quantile_cuts(starts, cell.size(), cuts);
+    cmdp::count_quantile_cuts(starts, cuts);
   }
-  double imbalance() const {
-    return cmdp::cut_imbalance(starts, cell.size(), cuts);
-  }
+  double imbalance() const { return cmdp::cut_imbalance(starts, cuts); }
   void check(double reported, std::vector<audit::Violation>& out) const {
-    audit::check_partition(cuts, starts, cell.size(), reported, 1e-6, 0, out);
+    audit::check_partition(cuts, starts, reported, 1e-6, 0, out);
   }
 };
 
@@ -112,7 +107,7 @@ core::ParticleStore<Real> tiny_store(std::size_t n, bool weighted = false) {
 TEST(AuditSort, CleanRunsPass) {
   SortFixture f({3, 0, 2, 5, 1});
   std::vector<audit::Violation> out;
-  audit::check_sort_runs(f.cell, f.counts, f.starts, 0, out);
+  audit::check_sort_runs(f.cell, f.starts, 0, out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -120,7 +115,7 @@ TEST(AuditSort, FiresOnMisfiledParticle) {
   SortFixture f({3, 2, 4});
   f.cell[0] = 2;  // particle in run 0 claims cell 2
   std::vector<audit::Violation> out;
-  audit::check_sort_runs(f.cell, f.counts, f.starts, 7, out);
+  audit::check_sort_runs(f.cell, f.starts, 7, out);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out.front().family, audit::Family::kSort);
   EXPECT_EQ(out.front().step, 7);
@@ -130,24 +125,27 @@ TEST(AuditSort, FiresOnShuffledRuns) {
   SortFixture f({4, 4});
   std::swap(f.cell[1], f.cell[5]);  // cross-run swap breaks both runs
   std::vector<audit::Violation> out;
-  audit::check_sort_runs(f.cell, f.counts, f.starts, 0, out);
+  audit::check_sort_runs(f.cell, f.starts, 0, out);
   EXPECT_GE(out.size(), 2u);
 }
 
 TEST(AuditSort, FiresOnBrokenPrefixSum) {
-  SortFixture f({2, 3, 1});
-  f.starts[1] = 3;  // should be 2
-  std::vector<audit::Violation> out;
-  audit::check_sort_runs(f.cell, f.counts, f.starts, 0, out);
-  EXPECT_FALSE(out.empty());
+  // starts[1] should be 2: 3 files particle 2 under cell 0, and 7 passes
+  // starts[2] = 5 (run 0 would reach past the 6 particles).
+  for (const std::uint32_t bad : {3u, 7u}) {
+    SortFixture f({2, 3, 1});
+    f.starts[1] = bad;
+    std::vector<audit::Violation> out;
+    audit::check_sort_runs(f.cell, f.starts, 0, out);
+    EXPECT_FALSE(out.empty()) << "starts[1] = " << bad;
+  }
 }
 
 TEST(AuditSort, FiresOnLostParticle) {
   SortFixture f({2, 2});
-  f.counts[1] = 1;  // tables tile 3 slots but 4 particles exist
-  f.starts = {0, 2};
+  f.starts = {0, 2, 3};  // the runs tile 3 slots but 4 particles exist
   std::vector<audit::Violation> out;
-  audit::check_sort_runs(f.cell, f.counts, f.starts, 0, out);
+  audit::check_sort_runs(f.cell, f.starts, 0, out);
   EXPECT_FALSE(out.empty());
 }
 
@@ -162,7 +160,7 @@ TEST(AuditShard, CleanPlanPasses) {
   EXPECT_TRUE(out.empty()) << audit::format_violation(out.front());
   // One lane owns every cell and is balanced by definition.
   const std::vector<std::uint32_t> one = {0, 16};
-  audit::check_partition(one, f.starts, f.cell.size(), 1.0, 1e-6, 0, out);
+  audit::check_partition(one, f.starts, 1.0, 1e-6, 0, out);
   EXPECT_TRUE(out.empty()) << audit::format_violation(out.front());
 }
 

@@ -153,7 +153,8 @@ TEST(CollisionFixed, TruncationSystematicallyLosesEnergy) {
   for (int trial = 0; trial < kTrials; ++trial) {
     auto p = random_pair<Fixed32>(g, 1.0);
     const double before = pair_energy(p);
-    physics::collide_pair_truncating(p, rng::random_perm(g), g.next_u64());
+    physics::collide_pair<physics::Halving::kTruncate>(p, rng::random_perm(g),
+                                                       g.next_u64());
     drift += pair_energy(p) - before;
   }
   // The paper's failure mode: consistent truncation loses energy.

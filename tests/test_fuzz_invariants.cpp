@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -83,13 +84,23 @@ TEST(BoundaryFuzz, DiffuseWallsAlwaysEject) {
   }
 }
 
+namespace {
+
 struct FuzzCase {
   int nx, ny, nz;
   double mach, sigma, lambda, ppc;
   bool wedge;
   int upstream;  // 0 plunger, 1 soft
   int wall;      // 0 specular, 1 isothermal, 2 adiabatic
+  const char* name;  // the test id
 };
+
+// gtest lists a parameter by printing it, and names the test from that
+// print (PrintToStringParamName).  Without this it dumps the struct's
+// bytes, padding included, which change from run to run.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.name; }
+
+}  // namespace
 
 class SimulationFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -148,16 +159,21 @@ TEST_P(SimulationFuzz, ShortRunUpholdsInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, SimulationFuzz,
     ::testing::Values(
-        FuzzCase{32, 24, 0, 4.0, 0.18, 0.0, 6.0, true, 0, 0},
-        FuzzCase{32, 24, 0, 4.0, 0.18, 0.5, 6.0, true, 0, 0},
-        FuzzCase{32, 24, 0, 2.0, 0.12, 1.0, 4.0, true, 1, 0},
-        FuzzCase{32, 24, 0, 6.0, 0.10, 0.2, 6.0, true, 0, 1},
-        FuzzCase{32, 24, 0, 4.0, 0.15, 0.5, 6.0, true, 0, 2},
-        FuzzCase{48, 16, 0, 3.0, 0.18, 0.0, 8.0, false, 0, 0},
-        FuzzCase{24, 16, 8, 4.0, 0.15, 0.5, 4.0, true, 0, 0},
-        FuzzCase{24, 16, 8, 4.0, 0.15, 0.0, 4.0, false, 1, 0},
-        FuzzCase{32, 24, 0, 8.0, 0.05, 0.3, 6.0, true, 0, 0},
-        FuzzCase{32, 24, 0, 1.2, 0.18, 2.0, 6.0, true, 1, 0}));
+        FuzzCase{32, 24, 0, 4.0, 0.18, 0.0, 6.0, true, 0, 0,
+                 "wedge_m4_continuum"},
+        FuzzCase{32, 24, 0, 4.0, 0.18, 0.5, 6.0, true, 0, 0, "wedge_m4"},
+        FuzzCase{32, 24, 0, 2.0, 0.12, 1.0, 4.0, true, 1, 0, "wedge_m2_soft"},
+        FuzzCase{32, 24, 0, 6.0, 0.10, 0.2, 6.0, true, 0, 1,
+                 "wedge_m6_isothermal"},
+        FuzzCase{32, 24, 0, 4.0, 0.15, 0.5, 6.0, true, 0, 2,
+                 "wedge_m4_adiabatic"},
+        FuzzCase{48, 16, 0, 3.0, 0.18, 0.0, 8.0, false, 0, 0, "open_m3"},
+        FuzzCase{24, 16, 8, 4.0, 0.15, 0.5, 4.0, true, 0, 0, "wedge3d_m4"},
+        FuzzCase{24, 16, 8, 4.0, 0.15, 0.0, 4.0, false, 1, 0, "open3d_soft"},
+        FuzzCase{32, 24, 0, 8.0, 0.05, 0.3, 6.0, true, 0, 0, "wedge_m8"},
+        FuzzCase{32, 24, 0, 1.2, 0.18, 2.0, 6.0, true, 1, 0,
+                 "wedge_m1p2_soft"}),
+    ::testing::PrintToStringParamName());
 
 TEST(SimulationFuzz, NoParticleEndsInsideAnyBodyOfAMultiBodyScene) {
   // Sweep of 2- and 3-body scenes across upstream modes and wall models:

@@ -511,8 +511,8 @@ TEST(GoldenPipeline, WideKeySpaceMatchesRadixPipeline) {
 
 // A sampled step forks the pool once per phase: move, sort, collide and
 // sample.  No phase may add fork-join regions of its own (each costs a
-// wake-up and a barrier on every lane), and the sort must keep its lanes
-// on the near-sorted keys the move hands it.
+// wake-up and a barrier on every lane), and the sort must run on the
+// pool's lanes, which it takes from the previous step's partition.
 TEST(GoldenPipeline, SampledStepOpensOneRegionPerPhase) {
   scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
   spec.config.particles_per_cell = 4.0;

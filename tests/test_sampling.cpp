@@ -49,17 +49,14 @@ void sample(core::FieldSampler<double>& sampler, cmdp::ThreadPool& pool,
   const auto cells = static_cast<std::uint32_t>(ncells);
   const std::vector<std::uint32_t> keys(s.cell.begin(), s.cell.end());
   const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, cells);
-  std::vector<std::uint32_t> counts(cells);
-  std::vector<std::uint32_t> starts(cells);
-  for (std::uint32_t c = 0; c < cells; ++c) {
-    starts[c] = plan.key_starts[c];
-    counts[c] = plan.key_starts[c + 1] - starts[c];
-  }
+  // The scatter consumes the plan's table: copy the starts out first.
+  const std::vector<std::uint32_t> starts(plan.key_starts.begin(),
+                                          plan.key_starts.end());
   core::ParticleStore<double> scratch;
   s.scatter_sorted(pool, keys, plan, scratch);
   std::vector<std::uint32_t> cuts(pool.size() + 1);
-  cmdp::count_quantile_cuts(starts, s.size(), cuts);
-  sampler.accumulate(pool, s, counts.data(), starts.data(), cuts);
+  cmdp::count_quantile_cuts(starts, cuts);
+  sampler.accumulate(pool, s, starts.data(), cuts);
 }
 
 }  // namespace

@@ -152,19 +152,16 @@ TEST(ShardPlan, ParallelShardsCoversEveryCellOnce) {
   // 257 cells of uneven occupancy, cut at count quantiles for a 4-lane
   // pool: the lane dispatch must hand every cell to exactly one lane, and
   // one lane must walk them all.
-  std::vector<std::uint32_t> starts(257);
-  std::uint32_t n = 0;
-  for (std::size_t c = 0; c < starts.size(); ++c) {
-    starts[c] = n;
-    n += static_cast<std::uint32_t>((c * 7) % 13);
-  }
-  std::vector<std::atomic<int>> hits(starts.size());
+  std::vector<std::uint32_t> starts(258);
+  for (std::size_t c = 0; c + 1 < starts.size(); ++c)
+    starts[c + 1] = starts[c] + static_cast<std::uint32_t>((c * 7) % 13);
+  std::vector<std::atomic<int>> hits(starts.size() - 1);
   for (auto& h : hits) h.store(0);
   for (const unsigned lanes : {4u, 1u}) {
     cmdp::ThreadPool pool(lanes);
     std::vector<std::uint32_t> cuts(lanes + 1);
-    cmdp::count_quantile_cuts(starts, n, cuts);
-    EXPECT_LT(cmdp::cut_imbalance(starts, n, cuts), 1.10);
+    cmdp::count_quantile_cuts(starts, cuts);
+    EXPECT_LT(cmdp::cut_imbalance(starts, cuts), 1.10);
     cmdp::for_each_sort_lane(pool, lanes, [&](unsigned t) {
       for (std::uint32_t c = cuts[t]; c < cuts[t + 1]; ++c)
         hits[c].fetch_add(1);

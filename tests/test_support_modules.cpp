@@ -8,10 +8,12 @@
 #include <sstream>
 #include <string>
 
+#include "cmdp/parallel.h"
 #include "core/checkpoint.h"
 #include "core/simulation.h"
 #include "core/steady.h"
 #include "io/vtk.h"
+#include "scenario/scenario.h"
 
 namespace cmdp = cmdsmc::cmdp;
 namespace core = cmdsmc::core;
@@ -299,6 +301,42 @@ TEST(Checkpoint, MidAveragingRoundTripReproducesTheRunExactly) {
   ASSERT_EQ(fa.samples, fc.samples);
   EXPECT_EQ(fa.density, fc.density);
   EXPECT_EQ(fa.t_total, fc.t_total);
+}
+
+// A resumed multi-lane run must split its lanes as the uninterrupted run
+// does: the surface sampler keeps one double sum per lane of the move and
+// adds them up each step, so another split rounds the sums differently.
+// cylinder-mach10 at ppc 4 puts ~26k particles on four lanes.
+TEST(Checkpoint, ResumedRunReproducesSurfaceSumsAcrossLanes) {
+  cmdsmc::scenario::ScenarioSpec spec =
+      cmdsmc::scenario::get_scenario("cylinder-mach10");
+  cmdsmc::scenario::apply_override(spec, "ppc", "4");
+  const core::SimConfig cfg = spec.build_config();
+  cmdp::ThreadPool pool(4);
+  core::SimulationD a(cfg, &pool);
+  core::SimulationD b(cfg, &pool);
+  for (core::SimulationD* sim : {&a, &b}) {
+    sim->set_sampling(true);
+    sim->set_surface_sampling(true);
+  }
+  a.run(10);
+  ASSERT_GT(a.total_count(), 4u * cmdp::kSerialCutoff);
+  const core::ParticleStore<double> store = a.particles();
+  const core::SimulationD::ResumeState state = a.resume_state();
+  a.run(5);
+  b.restore(store, state);
+  b.run(5);
+
+  const core::SimulationD::ResumeState ra = a.resume_state();
+  const core::SimulationD::ResumeState rb = b.resume_state();
+  ASSERT_EQ(ra.surface_sums.size(), rb.surface_sums.size());
+  std::size_t differ = 0;
+  for (std::size_t k = 0; k < ra.surface_sums.size(); ++k)
+    differ += ra.surface_sums[k] != rb.surface_sums[k] ? 1 : 0;
+  EXPECT_EQ(differ, 0u) << "of " << ra.surface_sums.size() << " surface sums";
+  EXPECT_EQ(ra.surface_samples, rb.surface_samples);
+  EXPECT_EQ(ra.field_samples, rb.field_samples);
+  EXPECT_EQ(ra.field_sums, rb.field_sums);
 }
 
 TEST(Checkpoint, RefusesRestoreAgainstMismatchedGeometry) {
