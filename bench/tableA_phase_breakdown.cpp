@@ -35,7 +35,7 @@ int main() {
                           "selection of collision partners",
                           "collision of selected partners"};
   const char* notes[4] = {"also generates the sort keys",
-                          "one-pass counting sort + record scatter",
+                          "counting sort + index scatter + gathers",
                           "fused into the collide pass (reads 0)",
                           "includes partner selection"};
 

@@ -4,7 +4,8 @@
 // packaged like the Bird/Nanbu baselines so the three selection schemes can
 // be compared on identical workloads.  It sorts like the driver too: a
 // counting_sort_plan over the randomized keys, each cell's start read from
-// the plan's key table, then one ParticleStore::scatter_sorted pass.
+// the plan's key table, then ParticleStore::scatter_sorted: the simulation's
+// index scatter and gathers (core::SortedGather).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@ class PairwiseScheme {
   BaselineConfig cfg_;
   std::int64_t step_ = 0;
   std::uint64_t collisions_ = 0;
+  // Lends scatter_sorted its spares, one array per element type.
   core::ParticleStore<double> scratch_;
   std::vector<std::uint32_t> keys_;
   // Each cell's first position after the sort (ncells + 1 entries).

@@ -10,8 +10,8 @@
 // through 0..63 from one process-wide counter, so same-index elements of
 // arrays allocated together never share a 4 KiB page offset.  Unstaggered,
 // every mapping starts on a page boundary, so the seven same-width Real
-// arrays the sort's scatter reads at one index (and the seven it writes at
-// another) would share one L1d set and one page offset.  The mapping is the
+// arrays the move and collide loops walk at one index would share one L1d
+// set and one page offset.  The mapping is the
 // array's bytes rounded up to whole pages plus one spare page for the
 // stagger, so deallocate recomputes it from p and n alone.
 //

@@ -158,8 +158,9 @@ void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
   const SortPlan plan = counting_sort_plan(pool, keys, key_bound);
   // The scatter consumes the plan's table as its cursors: copy it first.
   std::copy(plan.key_starts.begin(), plan.key_starts.end(), starts.begin());
-  apply_sort_plan(pool, keys, plan, [&](std::size_t src, std::size_t dst) {
-    order[dst] = static_cast<std::uint32_t>(src);
+  for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
+    scatter_index_range(keys, plan.cuts[t], plan.cuts[t + 1],
+                        plan.key_starts.data(), order.data());
   });
 }
 

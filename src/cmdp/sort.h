@@ -6,7 +6,9 @@
 // [cuts[t], cuts[t+1]) and, with no barrier in between, counts its keys
 // into its slice of one key_bound + 1 table (plus the keys below its
 // range: its absolute output offset, so no cross-lane scan) and then
-// scatters its records, in input order, into its own output slice.  Both
+// scatters the 4-byte index of its records, in input order, into its own
+// output slice (scatter_index_range); the record sort then gathers every
+// particle array through that index (core/particles.h).  Both
 // passes skip kKeyBlock-key blocks holding none of the lane's keys, which
 // makes near-sorted keys (the previous step's order) cheap.  The
 // simulation cuts the lanes at its previous step's cell blocks;
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <span>
 
+#include "cmdp/parallel.h"
 #include "cmdp/thread_pool.h"
 
 namespace cmdsmc::cmdp {
@@ -77,6 +80,25 @@ void scatter_key_range(std::span<const std::uint32_t> keys, std::uint32_t lo,
   });
 }
 
+// Scatter pass that moves only the sort's 4-byte index: order[dst] = src
+// for each key of the lane's range [lo, hi).  Returns the lane's output
+// slice, every dst it wrote: the slots its gathers fill (core/particles.h,
+// SortedGather).
+inline Range scatter_index_range(std::span<const std::uint32_t> keys,
+                                 std::uint32_t lo, std::uint32_t hi,
+                                 std::uint32_t* cursors,
+                                 std::uint32_t* order) {
+  if (lo == hi) return {};
+  const std::size_t begin = cursors[lo];
+  scatter_key_range(keys, lo, hi, cursors,
+                    [order](std::size_t src, std::size_t dst) {
+                      order[dst] = static_cast<std::uint32_t>(src);
+                    });
+  // Each cursor stops at the next key's start: the last one at the slice's
+  // end.
+  return {begin, cursors[hi - 1]};
+}
+
 // Ascending cuts[0..lanes]: 0, then the key at each lane_range boundary of
 // the input (median of it and its neighbours), then key_bound.  Near-sorted
 // keys get about n / lanes per lane.
@@ -114,17 +136,6 @@ void for_each_sort_lane(ThreadPool& pool, unsigned lanes, Fn&& fn) {
 SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
                             std::uint32_t key_bound);
-
-// Every lane's scatter pass: move(src, dst) once per element, dst its
-// stable sorted position.  Apply a plan at most once.
-template <class MoveFn>
-void apply_sort_plan(ThreadPool& pool, std::span<const std::uint32_t> keys,
-                     const SortPlan& plan, MoveFn&& move) {
-  for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
-    scatter_key_range(keys, plan.cuts[t], plan.cuts[t + 1],
-                      plan.key_starts.data(), move);
-  });
-}
 
 // The cells of a sorted array cut into cuts.size() - 1 lane blocks at
 // particle-count quantiles: lane t owns cells [cuts[t], cuts[t + 1]), and

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "cmdp/page_allocator.h"
+
 namespace cmdsmc::cmdp {
 
 struct Workspace {
@@ -18,26 +20,26 @@ struct Workspace {
   // and the lanes' key cuts (lanes + 1).
   std::vector<std::uint32_t> sort_starts;
   std::vector<std::uint32_t> sort_cuts;
+  // The sort's index, one entry per record: order[d] is the record that
+  // belongs at sorted slot d.  Page-mapped like the particle arrays.
+  std::vector<std::uint32_t, PageAllocator<std::uint32_t>> sort_order;
 
   // Bytes currently held across all buffers (telemetry's arena gauge).
   std::size_t bytes() const {
-    return (sort_starts.capacity() + sort_cuts.capacity()) *
+    return (sort_starts.capacity() + sort_cuts.capacity() +
+            sort_order.capacity()) *
            sizeof(std::uint32_t);
   }
 
   // Frees every buffer (a cold arena must sort exactly like a warm one).
-  void release() {
-    for (auto* v : {&sort_starts, &sort_cuts}) {
-      v->clear();
-      v->shrink_to_fit();
-    }
-  }
+  void release() { *this = Workspace(); }
 };
 
 // Grows (never shrinks) `v` to at least n elements and returns its data
 // pointer.  Newly exposed contents are unspecified: callers must write
 // before reading.
-inline std::uint32_t* grown(std::vector<std::uint32_t>& v, std::size_t n) {
+template <class Alloc>
+std::uint32_t* grown(std::vector<std::uint32_t, Alloc>& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
   return v.data();
 }

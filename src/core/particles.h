@@ -6,11 +6,15 @@
 // one "virtual processor" of the CM-2 mapping.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "cmdp/lane_barrier.h"
 #include "cmdp/page_allocator.h"
 #include "cmdp/sort.h"
 #include "cmdp/thread_pool.h"
@@ -22,6 +26,9 @@ namespace cmdsmc::core {
 // its capacity unmaps its old copy at once (cmdp/page_allocator.h).
 template <class T>
 using Array = std::vector<T, cmdp::PageAllocator<T>>;
+
+template <class Real>
+class SortedGather;
 
 template <class Real>
 struct ParticleStore {
@@ -56,9 +63,9 @@ struct ParticleStore {
 
   // The record, listed once: calls fn(name, s.a, more.a...) for every
   // active array a of `s` in checkpoint order.  `more` are stores with s's
-  // layout (a copy or swap partner).  A new field goes here and in
-  // mover_into; resize, copy_record, swap_arrays, the checkpoint and the
-  // audit's hash and NaN scan walk this list.
+  // layout (a copy).  A new field goes here only; resize, copy_record, the
+  // sort's gathers and swaps (SortedGather), the checkpoint and the audit's
+  // hash and NaN scan walk this list.
   template <class Fn, class Store, class... More>
   static void for_each_array(Fn&& fn, Store& s, More&... more) {
     fn("x", s.x, more.x...);
@@ -93,87 +100,178 @@ struct ParticleStore {
                    *this);
   }
 
-  // Sizes `scratch` like this store and returns move(src, dst), which copies
-  // record src of this store to slot dst of `scratch` (calls with distinct
-  // dst may run concurrently).  Once every record has moved,
-  // swap_arrays(scratch) makes the moved records this store's.
-  auto mover_into(ParticleStore& scratch) {
-    scratch.has_z = has_z;
-    scratch.has_vib = has_vib;
-    scratch.has_weight = has_weight;
-    scratch.resize(size());
-    // The hot scatter spells the list out with raw pointers on both sides:
-    // through the vectors (as for_each_array reaches them), each per-element
-    // flags (uint8) store would force the compiler to re-load every data
-    // pointer.
-    const Real* const px = x.data();
-    const Real* const py = y.data();
-    const Real* const pz = has_z ? z.data() : nullptr;
-    const Real* const pux = ux.data();
-    const Real* const puy = uy.data();
-    const Real* const puz = uz.data();
-    const Real* const pr0 = r0.data();
-    const Real* const pr1 = r1.data();
-    const Real* const pv0 = has_vib ? v0.data() : nullptr;
-    const Real* const pv1 = has_vib ? v1.data() : nullptr;
-    const double* const pw = has_weight ? weight.data() : nullptr;
-    const rng::PackedPerm* const pperm = perm.data();
-    const std::uint32_t* const pcell = cell.data();
-    const std::uint8_t* const pflags = flags.data();
-    const std::uint32_t* const pid = id.data();
-    Real* const sx = scratch.x.data();
-    Real* const sy = scratch.y.data();
-    Real* const sz = has_z ? scratch.z.data() : nullptr;
-    Real* const sux = scratch.ux.data();
-    Real* const suy = scratch.uy.data();
-    Real* const suz = scratch.uz.data();
-    Real* const sr0 = scratch.r0.data();
-    Real* const sr1 = scratch.r1.data();
-    Real* const sv0 = has_vib ? scratch.v0.data() : nullptr;
-    Real* const sv1 = has_vib ? scratch.v1.data() : nullptr;
-    double* const sw = has_weight ? scratch.weight.data() : nullptr;
-    rng::PackedPerm* const sperm = scratch.perm.data();
-    std::uint32_t* const scell = scratch.cell.data();
-    std::uint8_t* const sflags = scratch.flags.data();
-    std::uint32_t* const sid = scratch.id.data();
-    return [=](std::size_t src, std::size_t dst) {
-      sx[dst] = px[src];
-      sy[dst] = py[src];
-      if (sz != nullptr) sz[dst] = pz[src];
-      sux[dst] = pux[src];
-      suy[dst] = puy[src];
-      suz[dst] = puz[src];
-      sr0[dst] = pr0[src];
-      sr1[dst] = pr1[src];
-      if (sv0 != nullptr) {
-        sv0[dst] = pv0[src];
-        sv1[dst] = pv1[src];
-      }
-      if (sw != nullptr) sw[dst] = pw[src];
-      sperm[dst] = pperm[src];
-      scell[dst] = pcell[src];
-      sflags[dst] = pflags[src];
-      sid[dst] = pid[src];
-    };
-  }
-
-  // One-pass fused sort -> reorder: moves every record straight to its
-  // stable sorted position (scratch[dst] <- this[src]) using a prepared
-  // counting-sort plan, then swaps the buffers in.  One sequential read pass
-  // over all arrays instead of a permutation array plus one gather pass per
-  // array.
+  // Moves every record to its stable sorted position under a prepared
+  // counting-sort plan (apply a plan at most once), in one region of the
+  // plan's lanes: each lane scatters the sort's index over its output slice
+  // and gathers the record over it (SortedGather).  `scratch` only lends the
+  // spares, one array per element type; its other arrays stay as they are.
   void scatter_sorted(cmdp::ThreadPool& pool,
                       std::span<const std::uint32_t> keys,
                       const cmdp::SortPlan& plan, ParticleStore& scratch) {
-    cmdp::apply_sort_plan(pool, keys, plan, mover_into(scratch));
-    swap_arrays(scratch);
+    SortedGather<Real> gather(*this,
+                              {scratch.x, scratch.weight, scratch.perm,
+                               scratch.cell, scratch.flags},
+                              pool.workspace().sort_order, plan.lanes);
+    cmdp::for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
+      gather.sort_lane(keys, plan.cuts[t], plan.cuts[t + 1],
+                       plan.key_starts.data());
+    });
+    gather.finish();
+  }
+};
+
+// The arrays a sort rotates a store's arrays through, one per element type
+// (SortedGather).  References: the simulation lends its own spares plus its
+// dead sort keys as the uint32_t one; scatter_sorted lends a scratch
+// store's arrays.
+template <class Real>
+struct SpareArrays {
+  Array<Real>& real;
+  Array<double>& weight;  // a Fixed32 store's weight (double's is a Real)
+  Array<rng::PackedPerm>& perm;
+  Array<std::uint32_t>& u32;
+  Array<std::uint8_t>& u8;
+
+  // The spare of an array of T.
+  template <class T>
+  Array<T>& of() const {
+    if constexpr (std::is_same_v<T, Real>) {
+      return real;
+    } else if constexpr (std::is_same_v<T, double>) {
+      return weight;
+    } else if constexpr (std::is_same_v<T, rng::PackedPerm>) {
+      return perm;
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      return u32;
+    } else {
+      static_assert(std::is_same_v<T, std::uint8_t>);
+      return u8;
+    }
+  }
+};
+
+// The sort's record reorder, with no second store.  Each sort lane first
+// scatters only the 4-byte index over its own output slice, order[d] = the
+// record that belongs at sorted slot d (cmdp::scatter_index_range), and
+// then gathers every array over that slice: sorted[d] = old[order[d]].
+//
+// The arrays of one element type form a chain through one spare: the first
+// gathers into the spare, each later one into the old buffer of the one
+// before it.  That buffer is free only once every lane has finished reading
+// it, so the gathers run in rounds, round r moving the r-th array of every
+// type, with a lane barrier between consecutive rounds (a planar double
+// store takes 7 rounds).  The uint32_t chain starts one round late: its
+// spare may be the sort keys, which every lane reads until its index
+// scatter is done.  finish() then swaps each array with its type's spare in
+// chain order, which hands every array its sorted copy and leaves each
+// spare the old buffer of its chain's last array.
+template <class Real>
+class SortedGather {
+ public:
+  // Chains the active arrays of `store` through `spares`, resizing each
+  // spare used to the store's size, and grows the index `order` to it.
+  // `lanes` lanes call sort_lane().
+  SortedGather(ParticleStore<Real>& store, const SpareArrays<Real>& spares,
+               Array<std::uint32_t>& order, unsigned lanes)
+      : store_(store),
+        spares_(spares),
+        order_(cmdp::grown(order, store.size())),
+        barrier_(lanes) {
+    struct Chain {
+      const void* spare;
+      void* next;  // the buffer the chain's next array gathers into
+      unsigned round;
+    };
+    std::array<Chain, 5> chains{};
+    std::size_t nchains = 0;
+    const std::size_t n = store.size();
+    ParticleStore<Real>::for_each_array(
+        [&](const char*, auto& a) {
+          using T = typename std::decay_t<decltype(a)>::value_type;
+          Array<T>& spare = spares.template of<T>();
+          Chain* c = chains.data();
+          while (c != chains.data() + nchains && c->spare != &spare) ++c;
+          if (c == chains.data() + nchains) {
+            spare.resize(n);
+            *c = {&spare, spare.data(),
+                  std::is_same_v<T, std::uint32_t> ? 1u : 0u};
+            ++nchains;
+          }
+          moves_[nmoves_++] = {c->round, &gather_array<T>, c->next, a.data()};
+          c->next = a.data();
+          ++c->round;
+          rounds_ = std::max(rounds_, c->round);
+        },
+        store);
   }
 
-  // Exchanges every active array with scratch's.
-  void swap_arrays(ParticleStore& scratch) {
-    for_each_array([](const char*, auto& a, auto& b) { a.swap(b); }, *this,
-                   scratch);
+  // A lane's share of the sort once the key table holds its starts: the
+  // index scatter of its keys [lo, hi) (cursors as for
+  // cmdp::scatter_key_range), then the gathers over the output slice it
+  // wrote.  Every lane calls it once, an empty range too: it waits at
+  // every barrier.
+  void sort_lane(std::span<const std::uint32_t> keys, std::uint32_t lo,
+                 std::uint32_t hi, std::uint32_t* cursors) {
+    const cmdp::Range slice =
+        cmdp::scatter_index_range(keys, lo, hi, cursors, order_);
+    gather(slice.begin, slice.end);
   }
+
+  // Where the sorted copy of the store's array `a` lands until finish():
+  // a lane may read it over its own slice once its sort_lane() returns.
+  template <class T>
+  const T* sorted(const Array<T>& a) const {
+    std::size_t m = 0;
+    while (moves_[m].src != a.data()) ++m;
+    return static_cast<const T*>(moves_[m].dst);
+  }
+
+  // After the region: the swaps that hand every array its sorted copy.
+  void finish() {
+    ParticleStore<Real>::for_each_array(
+        [this](const char*, auto& a) {
+          using T = typename std::decay_t<decltype(a)>::value_type;
+          a.swap(spares_.template of<T>());
+        },
+        store_);
+  }
+
+ private:
+  // The gathers over [begin, end), round by round.
+  void gather(std::size_t begin, std::size_t end) {
+    for (unsigned r = 0; r < rounds_; ++r) {
+      if (r > 0) barrier_.wait();
+      for (std::size_t m = 0; m < nmoves_; ++m)
+        if (moves_[m].round == r)
+          moves_[m].gather(moves_[m].dst, moves_[m].src, order_, begin, end);
+    }
+  }
+
+  // One array's gather over [begin, end): dst[d] = src[order[d]].
+  struct Move {
+    unsigned round;
+    void (*gather)(void* dst, const void* src, const std::uint32_t* order,
+                   std::size_t begin, std::size_t end);
+    void* dst;
+    const void* src;
+  };
+
+  template <class T>
+  static void gather_array(void* dst, const void* src,
+                           const std::uint32_t* order, std::size_t begin,
+                           std::size_t end) {
+    T* const d = static_cast<T*>(dst);
+    const T* const s = static_cast<const T*>(src);
+    for (std::size_t i = begin; i < end; ++i) d[i] = s[order[i]];
+  }
+
+  ParticleStore<Real>& store_;
+  SpareArrays<Real> spares_;
+  std::uint32_t* order_;
+  std::array<Move, 15> moves_{};
+  std::size_t nmoves_ = 0;
+  unsigned rounds_ = 0;
+  cmdp::LaneBarrier barrier_;
 };
 
 }  // namespace cmdsmc::core

@@ -113,11 +113,8 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
   n_inf_ = cfg_.particles_per_cell;
   ncells_ = static_cast<std::uint32_t>(grid_.ncells());
   store_.has_z = cfg_.is3d();
-  scratch_.has_z = cfg_.is3d();
   store_.has_vib = cfg_.vibrational;
-  scratch_.has_vib = cfg_.vibrational;
   store_.has_weight = cfg_.axisymmetric;
-  scratch_.has_weight = cfg_.axisymmetric;
   if (!scene_.empty())
     surf_ = SurfaceSampler(scene_.total_segments(), pool_->size(),
                            grid_.is3d() ? grid_.nz : 1.0, cfg_.axisymmetric);
@@ -397,9 +394,15 @@ void Simulation<Real>::emit_step_stats() {
                    ? static_cast<double>(occ_sum) /
                          static_cast<double>(open_cells)
                    : 0.0;
+  // Every buffer the sort holds beyond the record: the pool's workspace
+  // (key table, cuts, index), the per-cell starts, the keys and the spares.
   s.arena_bytes =
       pool_->workspace().bytes() +
-      sizeof(std::uint32_t) * (keys_.capacity() + starts_.capacity());
+      sizeof(std::uint32_t) * (keys_.capacity() + starts_.capacity()) +
+      sizeof(Real) * spare_real_.capacity() +
+      sizeof(double) * spare_weight_.capacity() +
+      sizeof(rng::PackedPerm) * spare_perm_.capacity() +
+      spare_flags_.capacity();
   // Timing deltas, for the observer only.
   const unsigned lanes = timers_.lanes();
   s.lanes = lanes;
@@ -809,8 +812,8 @@ template <class Real>
 void Simulation<Real>::phase_sort() {
   // Axisymmetric runs rebalance the radial weights first: splits append
   // clones at the tail (the sort places them), merges retire their slot
-  // under the reserved past-the-end key so the scatter parks them behind
-  // the reservoir band, where they are truncated below.
+  // under the reserved past-the-end key so the sort parks them behind the
+  // reservoir band, where they are truncated below.
   const std::size_t dead = cfg_.axisymmetric ? balance_weights() : 0;
   const std::size_t n = store_.size();
   // Keys were generated during the move (and fixed up by the injection
@@ -823,9 +826,8 @@ void Simulation<Real>::phase_sort() {
   const bool axi = cfg_.axisymmetric;
   if (axi) cell_weight_.resize(ncells_);
   std::uint32_t* const startsp = starts_.data();
-  const auto mover = store_.mover_into(scratch_);
-  const double* const sorted_weight = axi ? scratch_.weight.data() : nullptr;
-  std::uint32_t* const ks = cmdp::grown(pool_->workspace().sort_starts,
+  cmdp::Workspace& ws = pool_->workspace();
+  std::uint32_t* const ks = cmdp::grown(ws.sort_starts,
                                         key_bound + std::size_t{1});
   // Lane t sorts the cells of the previous step's partition block t, whose
   // keys mostly sit in its own stretch of that step's order: sort, collide
@@ -834,6 +836,11 @@ void Simulation<Real>::phase_sort() {
   const bool on_partition = cuts_.size() == pool_->size() + std::size_t{1} &&
                             n >= cmdp::kSerialCutoff;
   const unsigned lanes = on_partition ? pool_->size() : 1;
+  SortedGather<Real> gather(
+      store_, {spare_real_, spare_weight_, spare_perm_, keys_, spare_flags_},
+      ws.sort_order, lanes);
+  const double* const sorted_weight =
+      axi ? gather.sorted(store_.weight) : nullptr;
   cmdp::for_each_sort_lane(*pool_, lanes, [&](unsigned t) {
     // The lane owns the whole cells [first, last): the key of cell c lies
     // in [c*scale, (c+1)*scale), so the cell starts drop out of the lane's
@@ -845,7 +852,7 @@ void Simulation<Real>::phase_sort() {
     const std::uint32_t hi = t + 1 == lanes ? key_bound : last * scale;
     const std::uint32_t end = cmdp::count_key_range(keys_, lo, hi, ks);
     for (std::uint32_t c = first; c < last; ++c) startsp[c] = ks[c * scale];
-    cmdp::scatter_key_range(keys_, lo, hi, ks, mover);
+    gather.sort_lane(keys_, lo, hi, ks);
     // Axisymmetric: the weighted census of the lane's flow cells, summed in
     // sorted array order over its own output slice (so independent of the
     // lane count).  The next lane may not have written its first start yet.
@@ -857,7 +864,7 @@ void Simulation<Real>::phase_sort() {
       cell_weight_[c] = acc;
     }
   });
-  store_.swap_arrays(scratch_);
+  gather.finish();
   if (dead > 0) {
     // Merged-away slots are now a contiguous tail behind the reservoir
     // band; drop them.

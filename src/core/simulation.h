@@ -70,7 +70,7 @@ class Simulation {
   // Phase indices for the performance breakdown (Table A).
   enum Phase : std::size_t {
     kPhaseMove = 0,   // motion + boundary conditions + injection + sort keys
-    kPhaseSort,       // one-table counting sort + fused record scatter
+    kPhaseSort,       // one-table counting sort + index scatter + gathers
     kPhaseSelect,     // kept for reporting compat; 0 since the select/collide
                       // fusion (cell tables now fall out of the sort)
     kPhaseCollide,    // selection + collision of partners (fused traversal)
@@ -229,7 +229,7 @@ class Simulation {
   // same cell (mass- and momentum-conserving velocity average, the lost
   // relative kinetic energy folded into the rotational DOF so total energy
   // is exact too).  Merged-away slots get weight 0 and a past-the-end sort
-  // key: the scatter moves them behind the reservoir band, where phase_sort
+  // key: the sort moves them behind the reservoir band, where phase_sort
   // truncates them.  Returns the merged-away count.
   std::size_t balance_weights();
   // One fused traversal: candidate pairing + acceptance + collision.  Pairs
@@ -256,7 +256,7 @@ class Simulation {
   std::uint32_t sort_key_for(std::size_t i) const;
   // Sort key space: pair cells * sort_scale, plus one reserved past-the-end
   // key value in axisymmetric runs for merged-away slots (they sort behind
-  // the reservoir band and are truncated after the scatter).
+  // the reservoir band and are truncated after the sort).
   std::uint32_t sort_key_bound() const {
     return (ncells_ + res_cells_) *
                static_cast<std::uint32_t>(cfg_.sort_scale) +
@@ -308,8 +308,16 @@ class Simulation {
   geom::Plunger plunger_;
 
   ParticleStore<Real> store_;
-  ParticleStore<Real> scratch_;
-  Array<std::uint32_t> keys_;  // one per record, mapped like the store
+  // The sort keys, one per record, mapped like the store.  They are dead
+  // once every sort lane has passed the gathers' first barrier (the next
+  // move rewrites every key), so the sort lends them as its uint32_t spare.
+  Array<std::uint32_t> keys_;
+  // The sort's other spares, one per element type of the record
+  // (SortedGather): its arrays rotate through them, so no second store.
+  Array<Real> spare_real_;
+  Array<double> spare_weight_;  // Fixed32 axisymmetric runs only
+  Array<rng::PackedPerm> spare_perm_;
+  Array<std::uint8_t> spare_flags_;
   std::vector<std::uint32_t> starts_;  // pair cells + 1, see sort_starts()
   std::vector<std::uint32_t> cuts_;  // pool lanes + 1, see partition()
 

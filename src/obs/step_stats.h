@@ -80,8 +80,9 @@ struct StepStats {
   std::uint32_t occ_max = 0;
   double occ_mean = 0.0;
 
-  // Bytes held by the reusable scratch (pool workspace arena + the
-  // simulation's sort key/order/table buffers).
+  // Bytes of every buffer the sort holds beyond the record: the pool
+  // workspace (key table, lane cuts, index), the per-cell starts, the keys
+  // and the spares the arrays rotate through (capacities).
   std::size_t arena_bytes = 0;
 
   // --- Partition ---

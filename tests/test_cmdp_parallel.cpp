@@ -6,6 +6,8 @@
 #include <numeric>
 #include <vector>
 
+#include "cmdp/lane_barrier.h"
+
 namespace cmdp = cmdsmc::cmdp;
 
 TEST(LaneRange, CoversAllIndicesExactlyOnce) {
@@ -115,4 +117,49 @@ TEST(ThreadPool, GlobalPoolIsSingleton) {
   auto& b = cmdp::ThreadPool::global();
   EXPECT_EQ(&a, &b);
   EXPECT_GE(a.size(), 1u);
+}
+
+namespace {
+
+// Each round every lane writes its slot of one of two plain buffers, waits,
+// and reads every lane's slot back: each must hold this round's write.  A
+// lane overwrites a buffer two rounds later, once every lane has passed the
+// wait that follows its reads.  Returns the slots read wrong.
+int run_barrier_rounds(cmdp::ThreadPool& pool, int rounds) {
+  const unsigned lanes = pool.size();
+  cmdp::LaneBarrier barrier(lanes);
+  std::vector<int> slots[2] = {std::vector<int>(lanes, -1),
+                               std::vector<int>(lanes, -1)};
+  std::atomic<int> wrong{0};
+  pool.parallel([&](unsigned t) {
+    for (int r = 0; r < rounds; ++r) {
+      std::vector<int>& buf = slots[r % 2];
+      buf[t] = r;
+      barrier.wait();
+      for (unsigned u = 0; u < lanes; ++u)
+        if (buf[u] != r) wrong.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  return wrong.load();
+}
+
+}  // namespace
+
+TEST(LaneBarrier, EveryLaneSeesEveryWriteOfTheRoundBefore) {
+  cmdp::ThreadPool pool(4);
+  EXPECT_EQ(run_barrier_rounds(pool, 2000), 0);
+}
+
+TEST(LaneBarrier, OneLaneReturnsAtOnce) {
+  cmdp::LaneBarrier barrier(1);
+  for (int r = 0; r < 1000; ++r) barrier.wait();
+  cmdp::ThreadPool pool(1);
+  EXPECT_EQ(run_barrier_rounds(pool, 100), 0);
+}
+
+// Sixteen lanes, more than most test hosts have CPUs: a waiting lane must
+// yield to the late ones, or the rounds crawl.
+TEST(LaneBarrier, SixteenLanesFinishOnFewerCpus) {
+  cmdp::ThreadPool pool(16);
+  EXPECT_EQ(run_barrier_rounds(pool, 500), 0);
 }

@@ -57,6 +57,19 @@ void PrintTo(const SortCase& c, std::ostream* os) {
 
 class SortCases : public ::testing::TestWithParam<SortCase> {};
 
+// Every lane's index scatter under a counted plan, as scatter_sorted runs
+// it: the stable order.
+std::vector<std::uint32_t> index_by_plan(cmdp::ThreadPool& pool,
+                                         const std::vector<std::uint32_t>& keys,
+                                         const cmdp::SortPlan& plan) {
+  std::vector<std::uint32_t> order(keys.size(), 0xdeadbeefu);
+  cmdp::for_each_sort_lane(pool, plan.lanes, [&](unsigned t) {
+    cmdp::scatter_index_range(keys, plan.cuts[t], plan.cuts[t + 1],
+                              plan.key_starts.data(), order.data());
+  });
+  return order;
+}
+
 }  // namespace
 
 TEST_P(SortCases, CountingSortMatchesStableReference) {
@@ -70,18 +83,13 @@ TEST_P(SortCases, CountingSortMatchesStableReference) {
   EXPECT_EQ(starts, reference_starts(keys, bound));
 }
 
-// The plan/apply entry points, as PairwiseScheme sorts its store.
+// The plan and index scatter, as PairwiseScheme sorts its store.
 TEST_P(SortCases, StableSortMatchesStableReference) {
   const auto [n, bound] = GetParam();
   cmdp::ThreadPool pool(6);
   const auto keys = random_keys(n, bound, 2000 + n);
   const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
-  std::vector<std::uint32_t> order(n, 0xdeadbeefu);
-  cmdp::apply_sort_plan(pool, keys, plan,
-                        [&](std::size_t src, std::size_t dst) {
-                          order[dst] = static_cast<std::uint32_t>(src);
-                        });
-  EXPECT_EQ(order, reference_order(keys));
+  EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,10 +179,11 @@ struct LaneSort {
   std::vector<std::uint32_t> starts;  // the table after the count passes
   std::vector<std::uint32_t> ends;    // per lane, count_key_range's result
   std::vector<std::uint32_t> order;
+  std::vector<cmdp::Range> slices;    // per lane, scatter_index_range's
 };
 
 // Runs the lane routines themselves under explicit cuts (one lane per pool
-// lane): every lane's count pass, then every lane's scatter pass.
+// lane): every lane's count pass, then every lane's index scatter.
 LaneSort sort_with_cuts(cmdp::ThreadPool& pool,
                         const std::vector<std::uint32_t>& keys,
                         std::uint32_t bound,
@@ -190,11 +199,10 @@ LaneSort sort_with_cuts(cmdp::ThreadPool& pool,
   table[bound] = static_cast<std::uint32_t>(keys.size());
   out.starts = table;
   out.order.assign(keys.size(), 0xdeadbeefu);
+  out.slices.assign(pool.size(), cmdp::Range{});
   pool.parallel([&](unsigned t) {
-    cmdp::scatter_key_range(keys, cuts[t], cuts[t + 1], table.data(),
-                            [&](std::size_t src, std::size_t dst) {
-                              out.order[dst] = static_cast<std::uint32_t>(src);
-                            });
+    out.slices[t] = cmdp::scatter_index_range(keys, cuts[t], cuts[t + 1],
+                                              table.data(), out.order.data());
   });
   return out;
 }
@@ -207,8 +215,15 @@ void expect_sorted_like_reference(const LaneSort& got,
   const auto ref = reference_starts(keys, bound);
   EXPECT_EQ(got.starts, ref) << what;
   EXPECT_EQ(got.order, reference_order(keys)) << what;
-  for (std::size_t t = 0; t < got.ends.size(); ++t)
+  for (std::size_t t = 0; t < got.ends.size(); ++t) {
     EXPECT_EQ(got.ends[t], ref[cuts[t + 1]]) << what << " lane " << t;
+    // A lane's slice is the output its keys fill; an empty range has none.
+    const bool empty = cuts[t] == cuts[t + 1];
+    EXPECT_EQ(got.slices[t].begin, empty ? 0 : ref[cuts[t]])
+        << what << " lane " << t;
+    EXPECT_EQ(got.slices[t].end, empty ? 0 : ref[cuts[t + 1]])
+        << what << " lane " << t;
+  }
 }
 
 }  // namespace
@@ -242,12 +257,7 @@ TEST(SortPlan, ApplyProducesStableOrder) {
       const std::uint32_t bound = near ? 30000 : 93;
       const auto keys = shaped_keys(near, 40000, bound, 12);
       const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
-      std::vector<std::uint32_t> order(keys.size());
-      cmdp::apply_sort_plan(pool, keys, plan,
-                            [&](std::size_t src, std::size_t dst) {
-                              order[dst] = static_cast<std::uint32_t>(src);
-                            });
-      EXPECT_EQ(order, reference_order(keys))
+      EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys))
           << threads << " threads, near-sorted " << near;
     }
   }
@@ -326,12 +336,7 @@ TEST(OneTableSort, TinyAndTopHeavyInputs) {
     // fork-join cutoff).
     const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
     EXPECT_EQ(plan.key_starts[bound], keys.size());
-    std::vector<std::uint32_t> order(keys.size());
-    cmdp::apply_sort_plan(pool, keys, plan,
-                          [&](std::size_t src, std::size_t dst) {
-                            order[dst] = static_cast<std::uint32_t>(src);
-                          });
-    EXPECT_EQ(order, reference_order(keys));
+    EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys));
   }
 }
 

@@ -132,6 +132,40 @@ TEST(StepStats, CensusAndDeltasMatchSimulation) {
   EXPECT_EQ(last.cum_collisions, sim.counters().collisions);
 }
 
+// The arena gauge counts every buffer the sort holds beyond the record: the
+// pool's workspace (key table, lane cuts and the 4-byte index), the
+// per-cell starts, the keys and the sort's spares.  A closed box keeps its
+// census, so each per-record buffer holds exactly one entry per particle:
+// 4 (key) + 4 (index) + 8 + 2 + 1 (the double, permutation and flags
+// spares) = 19 B a planar double particle, beside the per-cell tables.
+TEST(StepStats, ArenaBytesCountEverySortBuffer) {
+  cmdp::ThreadPool pool(4);
+  core::SimConfig cfg;
+  cfg.nx = 24;
+  cfg.ny = 24;
+  cfg.closed_box = true;
+  cfg.has_wedge = false;
+  cfg.mach = 0.01;
+  cfg.particles_per_cell = 30.0;
+  cfg.reservoir_fraction = 0.0;
+  cfg.seed = 99;
+  core::SimulationD sim(cfg, &pool);
+  Recorder rec;
+  sim.set_step_observer(&rec);
+  sim.run(3);
+  sim.set_step_observer(nullptr);
+  const std::size_t n = sim.total_count();
+  const cmdp::Workspace& ws = pool.workspace();
+  EXPECT_EQ(ws.sort_order.capacity(), n);
+  const std::size_t tables =
+      sizeof(std::uint32_t) *
+      (ws.sort_starts.capacity() + ws.sort_cuts.capacity() +
+       sim.sort_starts().capacity());
+  ASSERT_EQ(rec.steps.size(), 3u);
+  EXPECT_EQ(rec.steps.back().arena_bytes, tables + 19 * n);
+  EXPECT_LE(rec.steps.back().arena_bytes, 24 * n);
+}
+
 TEST(StepStats, CadenceDeltasArePerStepNotPerInterval) {
   // wants_step gates the *snapshot* too: a record at cadence N still carries
   // single-step deltas, because begin_observed_step only runs on observed

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/simulation.h"
 #include "fixedpoint/fixed32.h"
 
 namespace core = cmdsmc::core;
@@ -93,8 +94,40 @@ TEST(ParticleStore, GrowthReturnsFreedArraysToTheSystem) {
       << "building added " << built << " KiB, growing 5% added " << grown;
 }
 
-// The scatter walks the seven Real arrays at one index: no two of them may
-// start at the same offset into a 4 KiB page.
+// The sort moves a 4-byte index and rotates each array through one spare
+// per element type, so it holds no second copy of the record.  Its first
+// steps add the keys, the index and the double, permutation and flags
+// spares: 4 + 4 + 8 + 2 + 1 = 19 B per planar particle, against the 67 B
+// record that building the store added.  A sort that scatters into a
+// second store adds that record again, plus the key.  The bound, 32 B per
+// 67 B of record, is taken against what the record measured, so shadow
+// memory (ThreadSanitizer maps some for every page touched) scales both.
+TEST(ParticleStore, SortHoldsNoSecondStore) {
+  cmdp::ThreadPool pool(4);
+  core::SimConfig cfg;
+  cfg.nx = 40;
+  cfg.ny = 24;
+  cfg.wedge_x0 = 10.0;
+  cfg.wedge_base = 14.0;
+  cfg.wedge_angle_deg = 30.0;
+  cfg.particles_per_cell = 200.0;
+  cfg.seed = 0x5071;
+  const long empty = resident_kib();
+  core::SimulationD sim(cfg, &pool);
+  const long built = resident_kib();
+  sim.run(3);
+  const long stepped = resident_kib();
+  const auto n = static_cast<double>(sim.total_count());
+  ASSERT_GT(n, 150000.0);
+  const double record = 1024.0 * static_cast<double>(built - empty) / n;
+  const double sort = 1024.0 * static_cast<double>(stepped - built) / n;
+  EXPECT_LE(sort, 32.0 / 67.0 * record)
+      << "building added " << record << " B and three steps " << sort
+      << " B per particle";
+}
+
+// The move and collide loops walk the seven Real arrays at one index: no
+// two of them may start at the same offset into a 4 KiB page.
 TEST(ParticleStore, ArraysDoNotShareAPageOffset) {
   core::ParticleStore<double> s;
   build_then_grow(s);
@@ -129,8 +162,8 @@ std::int64_t raw_of(Fixed32 v) { return v.raw; }
 
 // Reorders a store with z, the vibrational pair and weights on through
 // scatter_sorted, by near-sorted keys with many duplicates so every lane
-// moves records, and checks that every array of every record landed at its
-// stable sorted position.
+// gathers records, and checks that every array of every record landed at
+// its stable sorted position.
 template <class Real>
 void check_scatter_sorted(unsigned threads, std::size_t n) {
   cmdp::ThreadPool pool(threads);
@@ -203,12 +236,27 @@ TEST(ParticleStore, ReorderWorksForFixed32) {
   check_scatter_sorted<Fixed32>(2, 5000);
 }
 
-TEST(ParticleStore, ScatterMovesEveryListedArray) {
-  // mover_into spells the record out by hand; every array for_each_array
-  // lists must move with it, byte for byte.
+// One lane runs the rounds with no barrier; sixteen wait at every one on a
+// machine with fewer CPUs.
+TEST(ParticleStore, ReorderHoldsOnOneAndSixteenLanes) {
+  check_scatter_sorted<double>(1, 10000);
+  check_scatter_sorted<double>(16, 10000);
+  check_scatter_sorted<Fixed32>(16, 5000);
+}
+
+namespace {
+
+// Sorts a store with every optional array on by `keys` through
+// scatter_sorted on `pool` and checks each array for_each_array lists,
+// byte for byte, against a gather by a reference stable sort.  The gathers
+// chain the arrays through one spare per element type: every listed array
+// must come back sorted, and none may be left on a spare.
+void expect_every_array_sorted(cmdp::ThreadPool& pool,
+                               const std::vector<std::uint32_t>& keys,
+                               std::uint32_t key_bound,
+                               unsigned expect_lanes) {
   using Store = core::ParticleStore<double>;
-  cmdp::ThreadPool pool(2);
-  const std::size_t n = 1000;
+  const std::size_t n = keys.size();
   Store s;
   s.has_z = true;
   s.has_vib = true;
@@ -223,9 +271,6 @@ TEST(ParticleStore, ScatterMovesEveryListedArray) {
           b[k] = static_cast<unsigned char>(k * 131 + salt * 17);
       },
       s);
-  std::vector<std::uint32_t> keys(n);
-  for (std::size_t i = 0; i < n; ++i)
-    keys[i] = static_cast<std::uint32_t>((i * 7919) % 64);
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
@@ -239,9 +284,10 @@ TEST(ParticleStore, ScatterMovesEveryListedArray) {
           e[dst] = src[order[dst]];
       },
       expect, s);
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, key_bound);
+  EXPECT_EQ(plan.lanes, expect_lanes);
   Store scratch;
-  s.scatter_sorted(pool, keys, cmdp::counting_sort_plan(pool, keys, 64),
-                   scratch);
+  s.scatter_sorted(pool, keys, plan, scratch);
   int arrays = 0;
   Store::for_each_array(
       [&arrays](const char* name, const auto& a, const auto& b) {
@@ -252,4 +298,28 @@ TEST(ParticleStore, ScatterMovesEveryListedArray) {
       },
       s, expect);
   EXPECT_EQ(arrays, 15);
+}
+
+}  // namespace
+
+TEST(ParticleStore, ScatterMovesEveryListedArray) {
+  cmdp::ThreadPool pool(2);
+  std::vector<std::uint32_t> keys(1000);
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    keys[i] = static_cast<std::uint32_t>((i * 7919) % 64);
+  expect_every_array_sorted(pool, keys, 64, 1);
+}
+
+// A lane whose key range is empty gathers nothing, but still waits at every
+// barrier of the lanes that do.  Key 0 fills the first 30% of the records,
+// so the first of four lane cuts lands on it and leaves lane 0 empty.
+TEST(ParticleStore, ReorderWaitsForALaneWithNothingToGather) {
+  cmdp::ThreadPool pool(4);
+  const std::size_t n = 20000;
+  std::vector<std::uint32_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = i < 3 * n / 10 ? 0u : static_cast<std::uint32_t>(i * 50 / n);
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, 51);
+  EXPECT_EQ(plan.cuts[0], plan.cuts[1]);
+  expect_every_array_sorted(pool, keys, 51, 4);
 }
