@@ -97,9 +97,7 @@ void Auditor<Real>::after_sort(const core::Simulation<Real>& sim) {
   settle(Family::kConservation, 1, fresh);
 
   // Snapshot the global flow moments the collide phase must conserve.
-  mass_post_sort_ = sim.flow_weighted_mass();
-  momentum_post_sort_ = sim.flow_weighted_momentum();
-  energy_post_sort_ = sim.flow_weighted_energy();
+  flow_post_sort_ = sim.flow_moments();
 }
 
 template <class Real>
@@ -113,10 +111,8 @@ void Auditor<Real>::after_collide(const core::Simulation<Real>& sim) {
     const double tol = std::is_same_v<Real, fixedpoint::Fixed32>
                            ? std::max(opt_.tol, 1e-3)
                            : opt_.tol;
-    const double scale = std::max(1.0, mass_post_sort_);
-    const double mass = sim.flow_weighted_mass();
-    const std::array<double, 3> mom = sim.flow_weighted_momentum();
-    const double energy = sim.flow_weighted_energy();
+    const double scale = std::max(1.0, flow_post_sort_.mass);
+    const auto now = sim.flow_moments();
     auto drift = [&](const char* what, double before, double after) {
       if (std::abs(after - before) > tol * scale) {
         fresh.push_back({Family::kConservation, step, "collide", -1,
@@ -126,11 +122,11 @@ void Auditor<Real>::after_collide(const core::Simulation<Real>& sim) {
                              std::to_string(tol * scale) + ")"});
       }
     };
-    drift("mass", mass_post_sort_, mass);
-    drift("momentum_x", momentum_post_sort_[0], mom[0]);
-    drift("momentum_y", momentum_post_sort_[1], mom[1]);
-    drift("momentum_z", momentum_post_sort_[2], mom[2]);
-    drift("energy", energy_post_sort_, energy);
+    drift("mass", flow_post_sort_.mass, now.mass);
+    drift("momentum_x", flow_post_sort_.momentum[0], now.momentum[0]);
+    drift("momentum_y", flow_post_sort_.momentum[1], now.momentum[1]);
+    drift("momentum_z", flow_post_sort_.momentum[2], now.momentum[2]);
+    drift("energy", flow_post_sort_.energy, now.energy);
     settle(Family::kConservation, 1, fresh);
   }
 }

@@ -75,9 +75,7 @@ class Auditor {
   core::SimCounters counters0_;
   CellMoments cells_before_;   // taken after move, diffed after sort
   CellMoments cells_after_;
-  double energy_post_sort_ = 0.0;
-  std::array<double, 3> momentum_post_sort_{};
-  double mass_post_sort_ = 0.0;
+  typename core::Simulation<Real>::FlowMoments flow_post_sort_;
   std::int64_t audited_steps_ = 0;
 };
 

@@ -30,18 +30,28 @@ void PairwiseScheme::collision_step(cmdp::ThreadPool& pool,
         kSortScale);
     keys_[i] = store.cell[i] * kSortScale + r;
   });
-  const cmdp::SortPlan plan =
-      cmdp::counting_sort_plan(pool, keys_, ncells * kSortScale);
+  // The store is still in the last sort's order: its cell blocks are this
+  // sort's lanes.
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(
+      pool, keys_, ncells * kSortScale, key_cuts_);
   // Cell c's first key is c * kSortScale; read the starts before the
   // scatter consumes the table.
   for (std::uint32_t c = 0; c <= ncells; ++c)
     starts_[c] = plan.key_starts[c * kSortScale];
   store.scatter_sorted(pool, keys_, plan, scratch_);
+  // The collide walks the new partition's cell blocks; the next sort runs
+  // on them.
+  cmdp::cut_partition(pool, starts_, cuts_);
+  key_cuts_.resize(cuts_.size());
+  for (std::size_t t = 0; t < cuts_.size(); ++t)
+    key_cuts_[t] = cuts_[t] * kSortScale;
 
   std::atomic<std::uint64_t> coll{0};
-  cmdp::parallel_chunks(pool, n, [&](cmdp::Range r, unsigned) {
+  const auto lanes = static_cast<unsigned>(cuts_.size() - 1);
+  cmdp::for_each_sort_lane(pool, lanes, [&](unsigned t) {
     std::uint64_t local = 0;
-    for (std::size_t i = r.begin; i < r.end; ++i) {
+    const std::size_t end = starts_[cuts_[t + 1]];
+    for (std::size_t i = starts_[cuts_[t]]; i < end; ++i) {
       const std::uint32_t c = store.cell[i];
       const std::uint32_t s = starts_[c];
       const std::uint32_t cnt = starts_[c + 1] - s;

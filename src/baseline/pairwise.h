@@ -3,9 +3,11 @@
 // 5-vector collision) — the same algorithm the Simulation driver embeds,
 // packaged like the Bird/Nanbu baselines so the three selection schemes can
 // be compared on identical workloads.  It sorts like the driver too: a
-// counting_sort_plan over the randomized keys, each cell's start read from
-// the plan's key table, then ParticleStore::scatter_sorted: the simulation's
-// index scatter and gathers (core::SortedGather).
+// counting_sort_plan over the randomized keys on the last sort's partition,
+// each cell's start read from the plan's key table, then
+// ParticleStore::scatter_sorted: the simulation's index scatter and gathers
+// (core::SortedGather).  The collide then walks the new partition's cell
+// blocks, one per lane.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +24,7 @@ class PairwiseScheme {
  public:
   PairwiseScheme(const geom::Grid& grid, const BaselineConfig& cfg);
 
-  // One collision sub-step (particle-parallel).
+  // One collision sub-step: sort, then collide one cell block per lane.
   void collision_step(cmdp::ThreadPool& pool,
                       core::ParticleStore<double>& store);
 
@@ -38,6 +40,11 @@ class PairwiseScheme {
   std::vector<std::uint32_t> keys_;
   // Each cell's first position after the sort (ncells + 1 entries).
   std::vector<std::uint32_t> starts_;
+  // The last sort's partition (cmdp::cut_partition): lane t owns cells
+  // [cuts_[t], cuts_[t + 1]), and key_cuts_ holds the same cuts scaled to
+  // keys for the next sort.
+  std::vector<std::uint32_t> cuts_;
+  std::vector<std::uint32_t> key_cuts_;
 };
 
 }  // namespace cmdsmc::baseline

@@ -10,19 +10,20 @@
 // output slice (scatter_index_range); the record sort then gathers every
 // particle array through that index (core/particles.h).  Both
 // passes skip kKeyBlock-key blocks holding none of the lane's keys, which
-// makes near-sorted keys (the previous step's order) cheap.  The
-// simulation cuts the lanes at its previous step's cell blocks;
-// counting_sort_plan guesses cuts from the keys and runs keys in no
-// particular order on one lane.  A stable sort's output is unique, so the
+// makes near-sorted keys (the previous step's order) cheap.  A sort's
+// lanes are its caller's partition: the simulation and the pairwise
+// baseline cut them at their previous sort's cell blocks, and a sort
+// without one runs on one lane.  A stable sort's output is unique, so the
 // cuts and lane count only decide who does the work.  The table is also
 // each key's start, so callers read per-cell counts and starts from it
-// instead of a separate histogram and scan.  The table and cuts live in
-// the pool's Workspace: steady-state sorting is allocation-free.
+// instead of a separate histogram and scan.  The table lives in the
+// pool's Workspace: steady-state sorting is allocation-free.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "cmdp/parallel.h"
 #include "cmdp/thread_pool.h"
@@ -99,18 +100,13 @@ inline Range scatter_index_range(std::span<const std::uint32_t> keys,
   return {begin, cursors[hi - 1]};
 }
 
-// Ascending cuts[0..lanes]: 0, then the key at each lane_range boundary of
-// the input (median of it and its neighbours), then key_bound.  Near-sorted
-// keys get about n / lanes per lane.
-void sort_key_cuts(std::span<const std::uint32_t> keys,
-                   std::uint32_t key_bound, std::span<std::uint32_t> cuts);
-
 // A stable counting sort cut into lanes.  Spans borrow the pool's
-// Workspace: a plan is invalidated by the next sort on the same pool.
+// Workspace and the caller's cuts: a plan is invalidated by the next sort
+// on the same pool.
 struct SortPlan {
   std::size_t n = 0;
   std::uint32_t key_bound = 0;
-  // One below the fork-join cutoff or for keys far from sorted.
+  // The pool's lanes on the caller's partition, else one.
   unsigned lanes = 1;
   // Lane t owns keys [cuts[t], cuts[t + 1]).
   std::span<const std::uint32_t> cuts;
@@ -129,13 +125,14 @@ void for_each_sort_lane(ThreadPool& pool, unsigned lanes, Fn&& fn) {
     pool.parallel(fn);
 }
 
-// Every lane's count pass: a plan with key_starts filled.  The cuts are
-// sort_key_cuts'; the plan keeps the pool's lanes only while, in 32 blocks
-// spread evenly over the keys, no lane would scan more than 3/4 of what one
-// lane scans.
+// Every lane's count pass: a plan with key_starts filled.  Given
+// pool.size() + 1 ascending key cuts from 0 to key_bound (the caller's
+// partition, which the plan borrows) and at least kSerialCutoff keys, it
+// runs the pool's lanes on them; otherwise it runs one lane.
 SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
-                            std::uint32_t key_bound);
+                            std::uint32_t key_bound,
+                            std::span<const std::uint32_t> cuts = {});
 
 // The cells of a sorted array cut into cuts.size() - 1 lane blocks at
 // particle-count quantiles: lane t owns cells [cuts[t], cuts[t + 1]), and
@@ -147,15 +144,22 @@ SortPlan counting_sort_plan(ThreadPool& pool,
 void count_quantile_cuts(std::span<const std::uint32_t> starts,
                          std::span<std::uint32_t> cuts);
 
+// The partition every pass over a sorted array runs on: its cells cut by
+// count_quantile_cuts into one block per pool lane, or into one block
+// below kSerialCutoff particles.
+void cut_partition(const ThreadPool& pool,
+                   std::span<const std::uint32_t> starts,
+                   std::vector<std::uint32_t>& cuts);
+
 // Max / mean lane particle count of such cuts: 1 when they balance exactly
 // (or there are no particles), the lane count when one lane holds them all.
 double cut_imbalance(std::span<const std::uint32_t> starts,
                      std::span<const std::uint32_t> cuts);
 
-// Stable counting sort.  Fills `order` (size == keys.size()) such that
-// keys[order[0]] <= keys[order[1]] <= ... with equal keys in input order,
-// and `starts` (size == key_bound + 1) with the first sorted position of
-// each key: key k occupies order[starts[k] .. starts[k + 1]).
+// Stable counting sort on one lane.  Fills `order` (size == keys.size())
+// such that keys[order[0]] <= keys[order[1]] <= ... with equal keys in
+// input order, and `starts` (size == key_bound + 1) with the first sorted
+// position of each key: key k occupies order[starts[k] .. starts[k + 1]).
 void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
                          std::uint32_t key_bound,
                          std::span<std::uint32_t> order,

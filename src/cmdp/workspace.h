@@ -17,7 +17,7 @@ namespace cmdsmc::cmdp {
 
 struct Workspace {
   // The counting sort: the one per-key starts/cursor table (key_bound + 1)
-  // and the lanes' key cuts (lanes + 1).
+  // and the cuts {0, key_bound} of a plan run on one lane.
   std::vector<std::uint32_t> sort_starts;
   std::vector<std::uint32_t> sort_cuts;
   // The sort's index, one entry per record: order[d] is the record that

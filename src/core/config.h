@@ -111,8 +111,8 @@ struct SimConfig {
   // suite's shard-build probe, until the benchmark change deletes it.
   static constexpr bool reservoir_collisions = true;
 
-  // Selection+collision and field sampling take no knob: each pool lane
-  // walks one block of pairing cells cut at particle-count quantiles of the
+  // Selection+collision and field sampling take no knob: each lane walks
+  // one block of pairing cells cut at particle-count quantiles of the
   // sorted array (Simulation::partition()).  These two constants price the
   // benchmark suite's shard-build probe (cmdp/shard.h) and are read only by
   // it, until the benchmark change deletes them.
@@ -203,9 +203,10 @@ struct SimConfig {
     if (sort_scale < 1 || sort_scale > 256)
       throw std::invalid_argument("SimConfig: sort_scale must be in [1,256]");
     // The sort zero-fills and prefix-sums one 4-byte table entry per sort
-    // key every step.  Past 32 keys per freestream particle (128 B, about a
-    // particle record plus its scratch copy) the table would outweigh the
-    // particles it sorts and its per-step pass would outgrow their O(n) one.
+    // key every step.  Past 32 keys per freestream particle (128 B, more
+    // than a planar double particle and every buffer the sort holds for it,
+    // 86 B) the table would outweigh the particles it sorts and its
+    // per-step pass would outgrow their O(n) one.
     if (sort_scale > 32.0 * particles_per_cell)
       throw std::invalid_argument(
           "SimConfig: sort_scale must be <= 32 x particles_per_cell (the "

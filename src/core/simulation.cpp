@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "audit/auditor.h"
 #include "cmdp/parallel.h"
@@ -122,6 +123,7 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
   plunger_.trigger = cfg_.plunger_trigger;
   rebuild_interior_mask();
   init_particles();
+  cuts_ = {0, ncells_ + res_cells_};
 }
 
 template <class Real>
@@ -538,14 +540,20 @@ void Simulation<Real>::phase_move_and_boundaries() {
   const double axi_disp[3] = {0.0, kInteriorDispL1, kInteriorMaxDisp};
   std::atomic<std::uint64_t> removed{0};
   std::atomic<std::uint64_t> strip{0};
-  cmdp::parallel_chunks(*pool_, n, [&](cmdp::Range r, unsigned tid) {
+  // Lane t moves the particles of its partition block, sorted there by the
+  // last sort; the first lane starts at 0 and the last ends at n, so one
+  // block needs no starts table.
+  const auto lanes = static_cast<unsigned>(cuts_.size() - 1);
+  cmdp::for_each_sort_lane(*pool_, lanes, [&](unsigned tid) {
+    const std::size_t begin = tid == 0 ? 0 : starts_[cuts_[tid]];
+    const std::size_t end = tid + 1 == lanes ? n : starts_[cuts_[tid + 1]];
     std::uint64_t local_removed = 0;
     std::uint64_t local_strip = 0;
     // Hoisted out of the loop: entries past `count` are never read, so a
     // per-particle reset of the count alone avoids re-zeroing the buffer in
     // this hot path.
     geom::WallEventBuffer wall_events;
-    for (std::size_t i = r.begin; i < r.end; ++i) {
+    for (std::size_t i = begin; i < end; ++i) {
       // cell >= ncells_ <=> the reservoir flag is set (the pairing band
       // starts past the real grid), and the cell index is loaded anyway for
       // the interior mask — so the flags byte stays out of this loop.
@@ -830,12 +838,9 @@ void Simulation<Real>::phase_sort() {
   std::uint32_t* const ks = cmdp::grown(ws.sort_starts,
                                         key_bound + std::size_t{1});
   // Lane t sorts the cells of the previous step's partition block t, whose
-  // keys mostly sit in its own stretch of that step's order: sort, collide
-  // and sample share one split.  The first step, and the first after a
-  // restore, have no partition and sort on one lane.
-  const bool on_partition = cuts_.size() == pool_->size() + std::size_t{1} &&
-                            n >= cmdp::kSerialCutoff;
-  const unsigned lanes = on_partition ? pool_->size() : 1;
+  // keys mostly sit in its own stretch of that step's order: move, sort,
+  // collide and sample share one split.
+  const auto lanes = static_cast<unsigned>(cuts_.size() - 1);
   SortedGather<Real> gather(
       store_, {spare_real_, spare_weight_, spare_perm_, keys_, spare_flags_},
       ws.sort_order, lanes);
@@ -846,8 +851,8 @@ void Simulation<Real>::phase_sort() {
     // in [c*scale, (c+1)*scale), so the cell starts drop out of the lane's
     // slice of the key table with no pass over the particles.  The last
     // lane also owns the axisymmetric dead key past the last cell.
-    const std::uint32_t first = on_partition ? cuts_[t] : 0;
-    const std::uint32_t last = on_partition ? cuts_[t + 1] : pair_cells;
+    const std::uint32_t first = cuts_[t];
+    const std::uint32_t last = cuts_[t + 1];
     const std::uint32_t lo = first * scale;
     const std::uint32_t hi = t + 1 == lanes ? key_bound : last * scale;
     const std::uint32_t end = cmdp::count_key_range(keys_, lo, hi, ks);
@@ -872,12 +877,9 @@ void Simulation<Real>::phase_sort() {
     keys_.resize(n - dead);
   }
   startsp[pair_cells] = static_cast<std::uint32_t>(store_.size());
-  // The step's partition: one block of pairing cells per pool lane, cut
-  // where the sorted array crosses each particle-count quantile.  Collide
-  // and sample walk these blocks, and the next step's sort cuts its lanes
-  // at them.
-  cuts_.resize(pool_->size() + std::size_t{1});
-  cmdp::count_quantile_cuts(starts_, cuts_);
+  // The step's partition: collide and sample walk its blocks, and the next
+  // step's move and sort take their lanes from them.
+  cmdp::cut_partition(*pool_, starts_, cuts_);
 }
 
 template <class Real>
@@ -1240,9 +1242,9 @@ void Simulation<Real>::phase_select_and_collide() {
   // Lane t walks its partition block.  Per-cell work is disjoint and every
   // RNG stream is keyed by particle index and step, so any cuts are
   // bit-identical to a serial walk.
-  cmdp::for_each_sort_lane(*pool_, pool_->size(), [&](unsigned t) {
-    run_cells(cuts_[t], cuts_[t + 1]);
-  });
+  cmdp::for_each_sort_lane(
+      *pool_, static_cast<unsigned>(cuts_.size() - 1),
+      [&](unsigned t) { run_cells(cuts_[t], cuts_[t + 1]); });
   counters_.candidates += candidates.load();
   counters_.collisions += collided.load();
   counters_.reservoir_collisions += res_collided.load();
@@ -1325,6 +1327,20 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
       state.surface_sums.size() != surf_.accumulated().size())
     throw std::invalid_argument(
         "Simulation::restore: sampler accumulator shape mismatch");
+  // The store's per-pairing-cell starts, counted before anything changes
+  // too.
+  const std::uint32_t pair_cells = ncells_ + res_cells_;
+  std::vector<std::uint32_t> starts(pair_cells + std::size_t{1}, 0);
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const std::uint32_t c = store.cell[i];
+    if (c >= pair_cells)
+      throw std::invalid_argument(
+          "Simulation::restore: particle " + std::to_string(i) +
+          " lies in pairing cell " + std::to_string(c) + " of " +
+          std::to_string(pair_cells));
+    ++starts[c + 1];
+  }
+  for (std::uint32_t c = 0; c < pair_cells; ++c) starts[c + 1] += starts[c];
   sampler_.restore(state.field_samples, state.field_sums);
   surf_.restore(state.surface_samples, state.surface_sums);
   store_ = std::move(store);
@@ -1332,9 +1348,15 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   plunger_.x = state.plunger_x;
   res_count_ = static_cast<std::size_t>(state.res_count);
   counters_ = state.counters;
-  // The partition described the replaced store: the next sort runs on one
-  // lane and cuts a fresh one.
-  cuts_.clear();
+  // A store saved between steps is in its last sort's order, so the table
+  // and the partition cut from it are the uninterrupted run's.  Before the
+  // first step no sort has run, and the run holds the constructor's one
+  // block.
+  starts_ = std::move(starts);
+  if (step_ == 0)
+    cuts_ = {0, pair_cells};
+  else
+    cmdp::cut_partition(*pool_, starts_, cuts_);
   rebuild_interior_mask();
 }
 
@@ -1357,51 +1379,35 @@ double Simulation<Real>::total_energy() const {
 }
 
 template <class Real>
-double Simulation<Real>::flow_weighted_mass() const {
+typename Simulation<Real>::FlowMoments Simulation<Real>::flow_moments()
+    const {
+  // One pass: each moment sums over the same lane ranges in the same order
+  // as a pass of its own, so every component is bit-identical to one.
+  using M = std::array<double, 5>;
   const bool wts = store_.has_weight;
-  return cmdp::parallel_sum<double>(*pool_, store_.size(), [&](std::size_t i) {
-    if (store_.flags[i] & ParticleStore<Real>::kReservoirFlag) return 0.0;
-    return wts ? store_.weight[i] : 1.0;
-  });
-}
-
-template <class Real>
-std::array<double, 3> Simulation<Real>::flow_weighted_momentum() const {
-  using A = std::array<double, 3>;
-  const bool wts = store_.has_weight;
-  return cmdp::parallel_reduce<A>(
-      *pool_, store_.size(), A{0.0, 0.0, 0.0},
+  const M m = cmdp::parallel_reduce<M>(
+      *pool_, store_.size(), M{},
       [&](std::size_t i) {
-        if (store_.flags[i] & ParticleStore<Real>::kReservoirFlag)
-          return A{0.0, 0.0, 0.0};
+        if (store_.flags[i] & ParticleStore<Real>::kReservoirFlag) return M{};
         const double w = wts ? store_.weight[i] : 1.0;
-        return A{w * N::to_double(store_.ux[i]),
-                 w * N::to_double(store_.uy[i]),
-                 w * N::to_double(store_.uz[i])};
+        const double vx = N::to_double(store_.ux[i]);
+        const double vy = N::to_double(store_.uy[i]);
+        const double vz = N::to_double(store_.uz[i]);
+        const double w0 = N::to_double(store_.r0[i]);
+        const double w1 = N::to_double(store_.r1[i]);
+        double e = 0.5 * (vx * vx + vy * vy + vz * vz + w0 * w0 + w1 * w1);
+        if (store_.has_vib) {
+          const double q0 = N::to_double(store_.v0[i]);
+          const double q1 = N::to_double(store_.v1[i]);
+          e += 0.5 * (q0 * q0 + q1 * q1);
+        }
+        return M{w, w * vx, w * vy, w * vz, w * e};
       },
-      [](const A& a, const A& b) {
-        return A{a[0] + b[0], a[1] + b[1], a[2] + b[2]};
+      [](const M& a, const M& b) {
+        return M{a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3],
+                 a[4] + b[4]};
       });
-}
-
-template <class Real>
-double Simulation<Real>::flow_weighted_energy() const {
-  const bool wts = store_.has_weight;
-  return cmdp::parallel_sum<double>(*pool_, store_.size(), [&](std::size_t i) {
-    if (store_.flags[i] & ParticleStore<Real>::kReservoirFlag) return 0.0;
-    const double vx = N::to_double(store_.ux[i]);
-    const double vy = N::to_double(store_.uy[i]);
-    const double vz = N::to_double(store_.uz[i]);
-    const double w0 = N::to_double(store_.r0[i]);
-    const double w1 = N::to_double(store_.r1[i]);
-    double e = 0.5 * (vx * vx + vy * vy + vz * vz + w0 * w0 + w1 * w1);
-    if (store_.has_vib) {
-      const double q0 = N::to_double(store_.v0[i]);
-      const double q1 = N::to_double(store_.v1[i]);
-      e += 0.5 * (q0 * q0 + q1 * q1);
-    }
-    return (wts ? store_.weight[i] : 1.0) * e;
-  });
+  return {m[0], {m[1], m[2], m[3]}, m[4]};
 }
 
 template <class Real>

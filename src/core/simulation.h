@@ -151,14 +151,18 @@ class Simulation {
   void set_auditor(audit::Auditor<Real>* auditor) { auditor_ = auditor; }
 
   // Read-only views of the sort phase's per-pairing-cell table and of the
-  // step's partition, for the audit layer (valid after the first step; the
-  // collide and sample phases read but never rewrite them).  Pairing cell c
-  // holds the sorted particles [sort_starts()[c], sort_starts()[c + 1]),
-  // and the last of the pair cells + 1 entries is the particle count.
-  // Lane t of the pool sorts, collides and samples pairing cells
-  // [partition()[t], partition()[t + 1]), cut at particle-count quantiles
-  // of the sorted array (cmdp::count_quantile_cuts); the sort uses the
-  // previous step's cuts, and partition() is empty after a restore.
+  // step's partition, for the audit layer (the table is valid after the
+  // first step or a restore; the collide and sample phases read but never
+  // rewrite either).  Pairing cell c holds the sorted particles
+  // [sort_starts()[c], sort_starts()[c + 1]), and the last of the pair
+  // cells + 1 entries is the particle count.  The partition is the one
+  // split of every pass: lane t of partition().size() - 1 collides and
+  // samples pairing cells [partition()[t], partition()[t + 1]) and then
+  // moves and sorts them in the next step.  Each sort cuts it at
+  // particle-count quantiles of the sorted array (cmdp::cut_partition: one
+  // block per pool lane, or one block below cmdp::kSerialCutoff
+  // particles); restore() cuts it from the restored store.  A new
+  // simulation holds one block.
   const std::vector<std::uint32_t>& sort_starts() const { return starts_; }
   // Each pairing cell's particle count, derived from sort_starts().
   std::vector<std::uint32_t> sort_counts() const;
@@ -176,9 +180,12 @@ class Simulation {
   // Weighted moments of the flow (axisymmetric runs; weights are 1 in
   // planar runs): sum of w, w*v and w*(0.5 |v|^2 + e_int) over flow
   // particles — the quantities the weight-balancing pass conserves exactly.
-  double flow_weighted_mass() const;
-  std::array<double, 3> flow_weighted_momentum() const;
-  double flow_weighted_energy() const;
+  struct FlowMoments {
+    double mass = 0.0;
+    std::array<double, 3> momentum{};
+    double energy = 0.0;
+  };
+  FlowMoments flow_moments() const;
 
   // --- Checkpoint/restart support (core/checkpoint.*) ---
   // Everything beyond the particle store a resumed run needs to reproduce
@@ -197,9 +204,12 @@ class Simulation {
   };
   ResumeState resume_state() const;
   // Restores store + state saved by resume_state().  Throws
-  // std::invalid_argument when the accumulator shapes do not match this
-  // simulation's grid/scene (geometry mismatch).  Rebuilds the interior
-  // mask, which must be re-derived whenever the boundary state is replaced.
+  // std::invalid_argument, changing nothing, when the accumulator shapes do
+  // not match this simulation's grid/scene (geometry mismatch) or a
+  // particle's cell lies past the reservoir's pairing cells.  Re-derives
+  // the sort's per-cell table and the partition from the store, and the
+  // interior mask, which must be re-derived whenever the boundary state is
+  // replaced.
   void restore(ParticleStore<Real> store, const ResumeState& state);
   // Provenance hash over everything that defines the run's geometry and
   // particle layout; checkpoints refuse to restore across a mismatch.
@@ -319,7 +329,7 @@ class Simulation {
   Array<rng::PackedPerm> spare_perm_;
   Array<std::uint8_t> spare_flags_;
   std::vector<std::uint32_t> starts_;  // pair cells + 1, see sort_starts()
-  std::vector<std::uint32_t> cuts_;  // pool lanes + 1, see partition()
+  std::vector<std::uint32_t> cuts_;  // lanes + 1, see partition()
 
   // Reservoir particles.  The sort leaves them contiguous at the tail of
   // the arrays: their pairing cells come after every flow cell.

@@ -87,8 +87,8 @@ struct StepStats {
 
   // --- Partition ---
   // Predicted max-lane / mean-lane particle count of the count-quantile
-  // cell blocks this step collided and sampled over the pool's lanes
-  // (Simulation::partition(); exactly 1 on one lane).  The measured
+  // cell blocks this step collided and sampled, one per lane
+  // (Simulation::partition(); exactly 1 on one block).  The measured
   // per-phase `imbalance` below is its clock-side counterpart.
   double cost_imbalance = 0.0;
   // Always 0: read only by the benchmark suite, until the benchmark change

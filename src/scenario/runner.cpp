@@ -409,7 +409,7 @@ RunResult Runner::run_impl(cmdp::ThreadPool* pool) {
       const bool count_ok =
           count_det.push(static_cast<double>(sim.flow_count()));
       // The energy sum is O(N); sample it every 10 steps.
-      if (steps % 10 == 0) energy_det.push(sim.flow_weighted_energy());
+      if (steps % 10 == 0) energy_det.push(sim.flow_moments().energy);
       if (count_ok && energy_det.steady()) {
         result.steady_detected = true;
         break;

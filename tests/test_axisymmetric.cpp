@@ -187,7 +187,7 @@ TEST(Axisymmetric, CheckpointRoundTripReproducesTheRun) {
   core::save_checkpoint(path, sim);
   sim.run(15);
   const core::SurfaceStats want = sim.surface();
-  const double want_mass = sim.flow_weighted_mass();
+  const double want_mass = sim.flow_moments().mass;
 
   core::SimulationD resumed(cfg, &pool);
   core::load_checkpoint(path, resumed);
@@ -198,7 +198,7 @@ TEST(Axisymmetric, CheckpointRoundTripReproducesTheRun) {
   EXPECT_EQ(got.samples, want.samples);
   EXPECT_EQ(got.cd, want.cd);
   EXPECT_EQ(got.heat_total, want.heat_total);
-  EXPECT_EQ(resumed.flow_weighted_mass(), want_mass);
+  EXPECT_EQ(resumed.flow_moments().mass, want_mass);
   EXPECT_EQ(resumed.counters().cloned, sim.counters().cloned);
   EXPECT_EQ(resumed.counters().merged, sim.counters().merged);
   std::remove(path.c_str());

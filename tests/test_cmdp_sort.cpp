@@ -57,6 +57,16 @@ void PrintTo(const SortCase& c, std::ostream* os) {
 
 class SortCases : public ::testing::TestWithParam<SortCase> {};
 
+// A partition of [0, bound) into `lanes` key ranges: count-quantile cuts of
+// the reference starts table, the blocks a caller's previous sort of these
+// keys would hand the next one.
+std::vector<std::uint32_t> quantile_cuts(const std::vector<std::uint32_t>& keys,
+                                         std::uint32_t bound, unsigned lanes) {
+  std::vector<std::uint32_t> cuts(lanes + 1);
+  cmdp::count_quantile_cuts(reference_starts(keys, bound), cuts);
+  return cuts;
+}
+
 // Every lane's index scatter under a counted plan, as scatter_sorted runs
 // it: the stable order.
 std::vector<std::uint32_t> index_by_plan(cmdp::ThreadPool& pool,
@@ -83,12 +93,15 @@ TEST_P(SortCases, CountingSortMatchesStableReference) {
   EXPECT_EQ(starts, reference_starts(keys, bound));
 }
 
-// The plan and index scatter, as PairwiseScheme sorts its store.
+// The plan and index scatter on a partition, as PairwiseScheme sorts its
+// store.
 TEST_P(SortCases, StableSortMatchesStableReference) {
   const auto [n, bound] = GetParam();
   cmdp::ThreadPool pool(6);
   const auto keys = random_keys(n, bound, 2000 + n);
-  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
+  const auto cuts = quantile_cuts(keys, bound, pool.size());
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound, cuts);
+  EXPECT_EQ(plan.lanes, n < cmdp::kSerialCutoff ? 1u : pool.size());
   EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys));
 }
 
@@ -234,11 +247,12 @@ TEST(SortPlan, KeyStartsMatchReference) {
     for (const bool near : {false, true}) {
       const std::uint32_t bound = near ? 40000 : 777;
       const auto keys = shaped_keys(near, 60000, bound, 11);
-      const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
+      const auto cuts = quantile_cuts(keys, bound, threads);
+      const cmdp::SortPlan plan =
+          cmdp::counting_sort_plan(pool, keys, bound, cuts);
       EXPECT_EQ(plan.n, keys.size());
       EXPECT_EQ(plan.key_bound, bound);
-      // Uniform keys put every lane's keys in every block: one lane.
-      EXPECT_EQ(plan.lanes, near ? threads : 1u);
+      EXPECT_EQ(plan.lanes, threads);
       const auto ref = reference_starts(keys, bound);
       // The scatter consumes key_starts as its cursors, so the table must be
       // checked before any apply.
@@ -256,7 +270,10 @@ TEST(SortPlan, ApplyProducesStableOrder) {
     for (const bool near : {false, true}) {
       const std::uint32_t bound = near ? 30000 : 93;
       const auto keys = shaped_keys(near, 40000, bound, 12);
-      const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
+      const auto cuts = quantile_cuts(keys, bound, threads);
+      const cmdp::SortPlan plan =
+          cmdp::counting_sort_plan(pool, keys, bound, cuts);
+      EXPECT_EQ(plan.lanes, threads);
       EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys))
           << threads << " threads, near-sorted " << near;
     }
@@ -287,30 +304,34 @@ TEST(SortPlan, WorkspaceReuseAcrossCalls) {
 }
 
 // A stable sort's output is unique, so the cuts only decide which lane does
-// the work: lanes left empty, every key in one lane, ragged cuts and the
-// cuts sort_key_cuts picks all give the reference order and starts.
+// the work: lanes left empty, every key in one lane, ragged cuts and
+// count-quantile cuts all give the reference order and starts, through the
+// lane routines and through a plan on those cuts.
 TEST(OneTableSort, AnyCutsGiveTheReferenceOrder) {
   cmdp::ThreadPool pool(4);
   const std::uint32_t bound = 3000;
   for (const bool near : {false, true}) {
     const auto keys = shaped_keys(near, 20000, bound, 41);
-    std::vector<std::uint32_t> picked(5);
-    cmdp::sort_key_cuts(keys, bound, picked);
     const std::vector<std::vector<std::uint32_t>> cut_sets = {
         {0, 0, 0, bound, bound},           // lanes 0, 1 and 3 empty
         {0, bound, bound, bound, bound},   // every key in lane 0
         {0, 0, 0, 0, bound},               // every key in the last lane
         {0, 1, 2, bound - 1, bound},       // slivers and one wide lane
         {0, 17, 1500, 1501, bound},
-        picked,
+        quantile_cuts(keys, bound, 4),
     };
     for (const auto& cuts : cut_sets) {
-      const LaneSort got = sort_with_cuts(pool, keys, bound, cuts);
-      expect_sorted_like_reference(
-          got, keys, bound, cuts,
+      const std::string what =
           "cuts " + std::to_string(cuts[1]) + "," + std::to_string(cuts[2]) +
-              "," + std::to_string(cuts[3]) + ", near-sorted " +
-              std::to_string(near));
+          "," + std::to_string(cuts[3]) + ", near-sorted " +
+          std::to_string(near);
+      const LaneSort got = sort_with_cuts(pool, keys, bound, cuts);
+      expect_sorted_like_reference(got, keys, bound, cuts, what);
+      const cmdp::SortPlan plan =
+          cmdp::counting_sort_plan(pool, keys, bound, cuts);
+      EXPECT_EQ(plan.lanes, 4u) << what;
+      EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys))
+          << what;
     }
   }
 }
@@ -327,54 +348,47 @@ TEST(OneTableSort, TinyAndTopHeavyInputs) {
       std::vector<std::uint32_t>(100, bound - 1),
   };
   for (const auto& keys : inputs) {
-    std::vector<std::uint32_t> cuts(7);
-    cmdp::sort_key_cuts(keys, bound, cuts);
+    const auto cuts = quantile_cuts(keys, bound, 6);
     const LaneSort got = sort_with_cuts(pool, keys, bound, cuts);
     expect_sorted_like_reference(got, keys, bound, cuts,
                                  "n=" + std::to_string(keys.size()));
-    // The same inputs through the plan entry point (one lane below the
-    // fork-join cutoff).
-    const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
+    // The same inputs through the plan entry point on the same cuts: one
+    // lane below the fork-join cutoff.
+    const cmdp::SortPlan plan =
+        cmdp::counting_sort_plan(pool, keys, bound, cuts);
+    EXPECT_EQ(plan.lanes, 1u);
     EXPECT_EQ(plan.key_starts[bound], keys.size());
     EXPECT_EQ(index_by_plan(pool, keys, plan), reference_order(keys));
   }
 }
 
-// The cuts ascend, bracket [0, key_bound), and split near-sorted keys into
-// near-equal lanes.
-TEST(OneTableSort, CutsAreAlignedAndBalanceNearSortedKeys) {
-  const std::size_t n = 60000;
-  const std::uint32_t bound = 8 * 6000;
-  const auto keys = near_sorted_keys(n, bound, 51);
-  const auto ref = reference_starts(keys, bound);
-  for (unsigned lanes : {1u, 3u, 4u, 6u}) {
-    std::vector<std::uint32_t> cuts(lanes + 1);
-    cmdp::sort_key_cuts(keys, bound, cuts);
-    EXPECT_EQ(cuts.front(), 0u);
-    EXPECT_EQ(cuts.back(), bound);
-    EXPECT_TRUE(std::is_sorted(cuts.begin(), cuts.end()));
-    for (unsigned t = 0; t < lanes; ++t) {
-      const double share =
-          static_cast<double>(ref[cuts[t + 1]] - ref[cuts[t]]) /
-          static_cast<double>(n);
-      EXPECT_NEAR(share, 1.0 / lanes, 0.02) << lanes << " lanes, lane " << t;
-    }
-  }
-}
-
-// The plan keeps the pool's lanes for keys in the simulation's near-sorted
-// shape and sorts on one lane where every lane would scan nearly every
-// block: uniform keys, or every key inside one lane's range.
-TEST(OneTableSort, LanesFollowTheKeyOrder) {
-  const std::size_t n = 40000;
+// A plan runs the pool's lanes on its caller's partition and one lane
+// without one, whatever order the keys come in; a partition cut for
+// another pool's lane count, or fewer keys than the fork-join cutoff, also
+// get one lane.  Every plan sorts like the reference.
+TEST(SortPlan, LanesFollowTheCallersPartition) {
   const std::uint32_t bound = 8 * 3000;
-  const auto near = near_sorted_keys(n, bound, 71);
-  const auto uniform = random_keys(n, bound, 72);
-  const std::vector<std::uint32_t> same(n, 123);
+  const auto near = near_sorted_keys(40000, bound, 71);
+  const auto uniform = random_keys(40000, bound, 72);
+  const auto few = near_sorted_keys(cmdp::kSerialCutoff - 1, bound, 73);
   for (unsigned threads : {2u, 3u, 4u, 6u}) {
     cmdp::ThreadPool pool(threads);
-    EXPECT_EQ(cmdp::counting_sort_plan(pool, near, bound).lanes, threads);
-    EXPECT_EQ(cmdp::counting_sort_plan(pool, uniform, bound).lanes, 1u);
-    EXPECT_EQ(cmdp::counting_sort_plan(pool, same, bound).lanes, 1u);
+    for (const auto* keys : {&near, &uniform, &few}) {
+      const std::string what = std::to_string(threads) + " threads, " +
+                               std::to_string(keys->size()) + " keys";
+      auto expect_lanes = [&](std::span<const std::uint32_t> cuts,
+                              unsigned lanes) {
+        const cmdp::SortPlan plan =
+            cmdp::counting_sort_plan(pool, *keys, bound, cuts);
+        EXPECT_EQ(plan.lanes, lanes) << what << ", " << cuts.size() << " cuts";
+        EXPECT_EQ(index_by_plan(pool, *keys, plan), reference_order(*keys))
+            << what << ", " << cuts.size() << " cuts";
+      };
+      const bool enough = keys->size() >= cmdp::kSerialCutoff;
+      expect_lanes(quantile_cuts(*keys, bound, threads),
+                   enough ? threads : 1u);
+      expect_lanes({}, 1u);
+      expect_lanes(quantile_cuts(*keys, bound, threads + 1), 1u);
+    }
   }
 }

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "cmdp/parallel.h"
 #include "cmdp/thread_pool.h"
 #include "core/simulation.h"
 #include "fixedpoint/fixed32.h"
@@ -525,4 +526,56 @@ TEST(GoldenPipeline, SampledStepOpensOneRegionPerPhase) {
     sim.step();
     EXPECT_EQ(pool.regions() - before, 4u) << "step " << sim.step_index();
   }
+}
+
+// restore() cuts the partition from the restored store, so a resumed run
+// holds the uninterrupted run's blocks and runs every phase of its first
+// step on them: a resumed sampled step opens as many regions as the
+// uninterrupted one.  A store that never went through a sort keeps a new
+// simulation's one block.
+TEST(GoldenPipeline, RestoreKeepsThePartition) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  spec.config.particles_per_cell = 4.0;
+  const core::SimConfig cfg = spec.build_config();
+  cmdp::ThreadPool pool(4);
+  core::SimulationD a(cfg, &pool);
+  core::SimulationD b(cfg, &pool);
+  b.restore(a.particles(), a.resume_state());
+  EXPECT_EQ(b.partition(), a.partition());
+  EXPECT_EQ(a.partition().size(), 2u);
+
+  a.run(5);
+  core::SimulationD c(cfg, &pool);
+  c.restore(a.particles(), a.resume_state());
+  EXPECT_EQ(a.partition().size(), 5u);
+  EXPECT_EQ(c.partition(), a.partition());
+  EXPECT_EQ(c.sort_starts(), a.sort_starts());
+  for (core::SimulationD* sim : {&a, &c}) {
+    sim->set_sampling(true);
+    const std::uint64_t before = pool.regions();
+    sim->step();
+    EXPECT_EQ(pool.regions() - before, 4u)
+        << (sim == &a ? "uninterrupted" : "resumed");
+  }
+  EXPECT_EQ(c.partition(), a.partition());
+}
+
+// Below the fork-join cutoff the partition is one block, so a sampled step
+// moves, sorts, collides and samples without forking the pool.
+TEST(GoldenPipeline, SmallStoreStepOpensNoRegion) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  spec.config.nx = 12;
+  spec.config.ny = 8;
+  spec.config.wedge_x0 = 3.0;
+  spec.config.wedge_base = 4.0;
+  spec.config.particles_per_cell = 4.0;
+  cmdp::ThreadPool pool(4);
+  core::SimulationD sim(spec.build_config(), &pool);
+  ASSERT_LT(sim.total_count(), cmdp::kSerialCutoff);
+  sim.run(3);
+  sim.set_sampling(true);
+  const std::uint64_t before = pool.regions();
+  sim.step();
+  EXPECT_EQ(pool.regions() - before, 0u);
+  EXPECT_EQ(sim.partition().size(), 2u);
 }

@@ -160,6 +160,20 @@ Real field_value(std::size_t i, int f) {
 std::int64_t raw_of(double v) { return static_cast<std::int64_t>(v); }
 std::int64_t raw_of(Fixed32 v) { return v.raw; }
 
+// A partition of [0, key_bound) into one key range per pool lane, cut at
+// particle-count quantiles of `keys`: what a caller's previous sort of them
+// hands counting_sort_plan.
+std::vector<std::uint32_t> quantile_cuts(cmdp::ThreadPool& pool,
+                                         const std::vector<std::uint32_t>& keys,
+                                         std::uint32_t key_bound) {
+  std::vector<std::uint32_t> starts(key_bound + std::size_t{1}, 0);
+  for (const std::uint32_t k : keys) ++starts[k + 1];
+  std::partial_sum(starts.begin(), starts.end(), starts.begin());
+  std::vector<std::uint32_t> cuts(pool.size() + std::size_t{1});
+  cmdp::count_quantile_cuts(starts, cuts);
+  return cuts;
+}
+
 // Reorders a store with z, the vibrational pair and weights on through
 // scatter_sorted, by near-sorted keys with many duplicates so every lane
 // gathers records, and checks that every array of every record landed at
@@ -197,7 +211,8 @@ void check_scatter_sorted(unsigned threads, std::size_t n) {
                    [&](std::uint32_t a, std::uint32_t b) {
                      return keys[a] < keys[b];
                    });
-  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, 97);
+  const std::vector<std::uint32_t> cuts = quantile_cuts(pool, keys, 97);
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, 97, cuts);
   EXPECT_EQ(plan.lanes, threads);
   core::ParticleStore<Real> scratch;
   s.scatter_sorted(pool, keys, plan, scratch);
@@ -247,13 +262,15 @@ TEST(ParticleStore, ReorderHoldsOnOneAndSixteenLanes) {
 namespace {
 
 // Sorts a store with every optional array on by `keys` through
-// scatter_sorted on `pool` and checks each array for_each_array lists,
-// byte for byte, against a gather by a reference stable sort.  The gathers
-// chain the arrays through one spare per element type: every listed array
-// must come back sorted, and none may be left on a spare.
+// scatter_sorted on `pool`, with a plan on `cuts`, and checks each array
+// for_each_array lists, byte for byte, against a gather by a reference
+// stable sort.  The gathers chain the arrays through one spare per element
+// type: every listed array must come back sorted, and none may be left on a
+// spare.
 void expect_every_array_sorted(cmdp::ThreadPool& pool,
                                const std::vector<std::uint32_t>& keys,
                                std::uint32_t key_bound,
+                               const std::vector<std::uint32_t>& cuts,
                                unsigned expect_lanes) {
   using Store = core::ParticleStore<double>;
   const std::size_t n = keys.size();
@@ -284,7 +301,8 @@ void expect_every_array_sorted(cmdp::ThreadPool& pool,
           e[dst] = src[order[dst]];
       },
       expect, s);
-  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, key_bound);
+  const cmdp::SortPlan plan =
+      cmdp::counting_sort_plan(pool, keys, key_bound, cuts);
   EXPECT_EQ(plan.lanes, expect_lanes);
   Store scratch;
   s.scatter_sorted(pool, keys, plan, scratch);
@@ -307,19 +325,17 @@ TEST(ParticleStore, ScatterMovesEveryListedArray) {
   std::vector<std::uint32_t> keys(1000);
   for (std::size_t i = 0; i < keys.size(); ++i)
     keys[i] = static_cast<std::uint32_t>((i * 7919) % 64);
-  expect_every_array_sorted(pool, keys, 64, 1);
+  expect_every_array_sorted(pool, keys, 64, {}, 1);
 }
 
 // A lane whose key range is empty gathers nothing, but still waits at every
-// barrier of the lanes that do.  Key 0 fills the first 30% of the records,
-// so the first of four lane cuts lands on it and leaves lane 0 empty.
+// barrier of the lanes that do.  Lane 0 owns no key; key 0 fills the first
+// 30% of the records and lane 1.
 TEST(ParticleStore, ReorderWaitsForALaneWithNothingToGather) {
   cmdp::ThreadPool pool(4);
   const std::size_t n = 20000;
   std::vector<std::uint32_t> keys(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = i < 3 * n / 10 ? 0u : static_cast<std::uint32_t>(i * 50 / n);
-  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, 51);
-  EXPECT_EQ(plan.cuts[0], plan.cuts[1]);
-  expect_every_array_sorted(pool, keys, 51, 4);
+  expect_every_array_sorted(pool, keys, 51, {0, 0, 1, 30, 51}, 4);
 }

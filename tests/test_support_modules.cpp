@@ -371,6 +371,47 @@ TEST(Checkpoint, RefusesRestoreAgainstMismatchedGeometry) {
   std::remove(path.c_str());
 }
 
+// Every particle's cell lies on the grid or in the reservoir's pairing
+// band.  restore() refuses a store with a cell past the band and changes
+// nothing, and load_checkpoint turns the refusal into an error naming the
+// file.
+TEST(Checkpoint, RefusesACellPastThePairingCells) {
+  cmdp::ThreadPool pool(2);
+  core::SimulationD src(tiny_wedge_cfg(), &pool);
+  src.run(3);
+  const auto pair_cells =
+      static_cast<std::uint32_t>(src.sort_starts().size() - 1);
+  core::SimulationD target(tiny_wedge_cfg(), &pool);
+  target.run(1);
+  const std::int64_t step0 = target.step_index();
+  const auto x0 = target.particles().x;
+  const auto cell0 = target.particles().cell;
+  const std::string path = testing::TempDir() + "/cmdsmc_bad_cell.bin";
+  const std::size_t k = src.total_count() / 2;
+  for (const std::uint32_t bad : {pair_cells, 0xffffffffu}) {
+    core::ParticleStore<double> store = src.particles();
+    store.cell[k] = bad;
+    EXPECT_THROW(target.restore(store, src.resume_state()),
+                 std::invalid_argument)
+        << bad;
+    const std::uint32_t good = src.particles().cell[k];
+    src.particles().cell[k] = bad;
+    core::save_checkpoint(path, src);
+    src.particles().cell[k] = good;
+    try {
+      core::load_checkpoint(path, target);
+      ADD_FAILURE() << "cell " << bad << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(target.step_index(), step0);
+    EXPECT_EQ(target.particles().x, x0);
+    EXPECT_EQ(target.particles().cell, cell0);
+  }
+  std::remove(path.c_str());
+}
+
 namespace {
 
 // FNV-1a over a file's bytes.
